@@ -95,6 +95,20 @@ fn probe_inputs(cfg: &NetConfig, salt: u64) -> (Vec<f64>, Vec<f64>) {
     (window, prev)
 }
 
+/// Mean forward-pass batch size from the `batch_size` of each 200 response.
+/// A batch of `b` answers `b` requests that each report `b`, so summing
+/// `1/b` over responses counts batches: mean = requests / Σ(1/b). Read
+/// from the responses rather than the `serve.batch_size` histogram, which
+/// records nothing under `PPN_OBS=off`.
+fn mean_batch(batch_sizes: &[usize]) -> f64 {
+    let batches: f64 = batch_sizes.iter().map(|&b| 1.0 / b.max(1) as f64).sum();
+    if batches > 0.0 {
+        batch_sizes.len() as f64 / batches
+    } else {
+        0.0
+    }
+}
+
 fn percentile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return f64::NAN;
@@ -105,17 +119,18 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 
 /// One closed-loop keep-alive worker: `per_worker` sequential decide
 /// requests over a single persistent connection. Returns per-request
-/// latencies (ms) and whether every response was 200 with bit-identical
-/// weights.
+/// latencies (ms), the batch size of each 200 response, and whether every
+/// response was 200 with bit-identical weights.
 fn closed_loop_worker(
     addr: SocketAddr,
     bodies: &[String],
     expected_bits: &[Vec<u64>],
     worker: usize,
     per_worker: usize,
-) -> (Vec<f64>, bool) {
+) -> (Vec<f64>, Vec<usize>, bool) {
     let mut client = HttpClient::connect(addr).expect("client connects");
     let mut lat = Vec::with_capacity(per_worker);
+    let mut batch_sizes = Vec::with_capacity(per_worker);
     let mut ok = true;
     for r in 0..per_worker {
         let salt = (worker * per_worker + r) % bodies.len();
@@ -129,13 +144,14 @@ fn closed_loop_worker(
         }
         let parsed: DecideResponse =
             serde_json::from_str(&resp.body).expect("response deserializes");
+        batch_sizes.push(parsed.batch_size);
         let bits: Vec<u64> = parsed.weights.iter().map(|w| w.to_bits()).collect();
         if bits != expected_bits[salt] {
             println!("  !! salt {salt}: weights diverged from direct act()");
             ok = false;
         }
     }
-    (lat, ok)
+    (lat, batch_sizes, ok)
 }
 
 /// Drives one closed-loop level with `concurrency` keep-alive workers on
@@ -147,8 +163,6 @@ fn drive_level(
     concurrency: usize,
     per_worker: usize,
 ) -> LevelSample {
-    let batch_hist = ppn_serve::metrics::batch_size();
-    let (count0, sum0) = (batch_hist.count(), batch_hist.sum());
     let t0 = Instant::now();
     let results = par::with_threads(concurrency, || {
         par::par_map(concurrency, |i| {
@@ -156,23 +170,22 @@ fn drive_level(
         })
     });
     let wall_s = t0.elapsed().as_secs_f64();
-    let (count1, sum1) = (batch_hist.count(), batch_hist.sum());
     let mut lat = Vec::new();
+    let mut batch_sizes = Vec::new();
     let mut ok = true;
-    for (l, o) in results {
+    for (l, b, o) in results {
         lat.extend(l);
+        batch_sizes.extend(b);
         ok &= o;
     }
     lat.sort_by(|a, b| a.total_cmp(b));
-    let batches = count1 - count0;
-    let mean_batch = if batches > 0 { (sum1 - sum0) / batches as f64 } else { 0.0 };
     LevelSample {
         concurrency,
         requests: lat.len(),
         p50_ms: percentile(&lat, 0.50),
         p99_ms: percentile(&lat, 0.99),
         rps: lat.len() as f64 / wall_s,
-        mean_batch,
+        mean_batch: mean_batch(&batch_sizes),
         bit_identical: ok,
     }
 }
@@ -185,15 +198,15 @@ fn drive_soak(
     concurrency: usize,
     duration: Duration,
 ) -> SoakSample {
-    let batch_hist = ppn_serve::metrics::batch_size();
     let shed = ppn_serve::metrics::shed();
-    let (count0, sum0, shed0) = (batch_hist.count(), batch_hist.sum(), shed.get());
+    let shed0 = shed.get();
     let t0 = Instant::now();
     let deadline = t0 + duration;
     let results = par::with_threads(concurrency, || {
         par::par_map(concurrency, |i| {
             let mut client = HttpClient::connect(addr).expect("client connects");
             let mut lat = Vec::new();
+            let mut batch_sizes = Vec::new();
             let mut r = 0usize;
             while Instant::now() < deadline {
                 let salt = (i + r * concurrency) % bodies.len();
@@ -202,16 +215,20 @@ fn drive_soak(
                     client.request("POST", "/decide", &bodies[salt]).expect("request transport");
                 lat.push(t.elapsed().as_secs_f64() * 1e3);
                 assert_eq!(resp.status, 200, "soak decide failed: {}", resp.body);
+                let parsed: DecideResponse =
+                    serde_json::from_str(&resp.body).expect("response deserializes");
+                batch_sizes.push(parsed.batch_size);
                 r += 1;
             }
-            lat
+            (lat, batch_sizes)
         })
     });
     let wall_s = t0.elapsed().as_secs_f64();
-    let (count1, sum1, shed1) = (batch_hist.count(), batch_hist.sum(), shed.get());
-    let mut lat: Vec<f64> = results.into_iter().flatten().collect();
+    let shed1 = shed.get();
+    let (lat, batch_sizes): (Vec<Vec<f64>>, Vec<Vec<usize>>) = results.into_iter().unzip();
+    let mut lat: Vec<f64> = lat.into_iter().flatten().collect();
+    let batch_sizes: Vec<usize> = batch_sizes.into_iter().flatten().collect();
     lat.sort_by(|a, b| a.total_cmp(b));
-    let batches = count1 - count0;
     SoakSample {
         concurrency,
         duration_s: wall_s,
@@ -220,7 +237,7 @@ fn drive_soak(
         p50_ms: percentile(&lat, 0.50),
         p99_ms: percentile(&lat, 0.99),
         max_ms: lat.last().copied().unwrap_or(f64::NAN),
-        mean_batch: if batches > 0 { (sum1 - sum0) / batches as f64 } else { 0.0 },
+        mean_batch: mean_batch(&batch_sizes),
         shed_429: shed1 - shed0,
     }
 }

@@ -207,32 +207,12 @@ pub const TELEMETRY_DIR: &str = "results/telemetry";
 /// Standard experiment-binary prologue: initialises observability from
 /// `PPN_OBS` and opens a run manifest that will land next to the results
 /// (`results/telemetry/<name>.manifest.json`) when finished or dropped.
-///
-/// When `PPN_STATS_ADDR` is set (e.g. `127.0.0.1:9184`), a
-/// [`ppn_obs::StatsServer`] is also started there for the lifetime of the
-/// process, so the trainer's metrics can be scraped as Prometheus text
-/// while a long run is in flight.
 pub fn start_run(name: &str) -> ppn_obs::manifest::ManifestGuard {
     ppn_obs::init_from_env();
     ppn_obs::obs_info!(
         "{name}: starting (PPN_OBS={})",
         std::env::var("PPN_OBS").unwrap_or_else(|_| "<unset>".into())
     );
-    if let Ok(addr) = std::env::var("PPN_STATS_ADDR") {
-        static STATS: std::sync::OnceLock<Option<ppn_obs::StatsServer>> =
-            std::sync::OnceLock::new();
-        let started = STATS.get_or_init(|| match ppn_obs::StatsServer::start(&addr) {
-            Ok(server) => {
-                ppn_obs::obs_info!("{name}: stats endpoint on http://{}/metrics", server.addr());
-                Some(server)
-            }
-            Err(e) => {
-                ppn_obs::obs_warn!("{name}: PPN_STATS_ADDR={addr} failed to bind: {e}");
-                None
-            }
-        });
-        let _ = started;
-    }
     ppn_obs::RunManifest::start(name, TELEMETRY_DIR)
 }
 

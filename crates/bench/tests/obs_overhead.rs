@@ -79,11 +79,10 @@ fn sampled_request_tracing_stays_inside_the_budget() {
     let iters = 100_000u64;
     let t1 = Instant::now();
     for _ in 0..iters {
-        let root = ppn_obs::TraceSpan::root("overhead.trace");
-        let ctx = root.context();
-        black_box(ctx.is_sampled());
-        let _a = ctx.child("overhead.stage_a");
-        let _b = ctx.child("overhead.stage_b");
+        let root = ppn_obs::span::root("overhead.trace");
+        black_box(root.context().is_sampled());
+        drop(ppn_obs::span!("overhead.stage_a"));
+        drop(ppn_obs::span!("overhead.stage_b"));
     }
     let cluster_ns = t1.elapsed().as_nanos() as f64 / iters as f64;
     ppn_obs::trace::set_sample_rate(0);

@@ -47,12 +47,12 @@ fn spans_metrics_and_step_trace_cover_train_and_backtest() {
             .unwrap_or_else(|| panic!("span `{name}` missing from {stats:?}"));
         assert!(s.total_ns > 0, "span `{name}` has zero duration");
     }
-    // net.forward nests under train.step, so the parent's self time is
-    // strictly less than its total.
+    // net.forward nests under train.step's forward stage, so the step's
+    // self time is strictly less than its total.
     let step = stats.iter().find(|s| s.path == "train.step").expect("train.step root");
     assert!(step.child_ns > 0 && step.self_ns() < step.total_ns);
     let report_text = ppn_obs::span_report();
-    assert!(report_text.contains("train.step/net.forward"));
+    assert!(report_text.contains("train.step/train.forward/net.forward"));
 
     // Metrics side: counters and histograms moved.
     let snap = ppn_obs::metrics_snapshot();

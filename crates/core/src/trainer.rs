@@ -213,13 +213,12 @@ impl<'a> Trainer<'a> {
     /// Runs one gradient step; returns telemetry.
     // ppn-check: contract(simplex)
     pub fn step(&mut self) -> StepStats {
-        let _span = ppn_obs::span!("train.step");
-        // Trace tree for this step (inert unless sampled in by
-        // `PPN_TRACE_SAMPLE`): synth → forward → backward → PVM writeback,
-        // all children of one `train.step` root, rendered by `ppn-trace`.
-        let trace_root = ppn_obs::TraceSpan::root("train.step");
-        let tctx = trace_root.context();
-        let wall = ppn_obs::clock::now();
+        // One `train.step` root (a new trace when `PPN_TRACE_SAMPLE` picks
+        // it) over four stage spans: synth → forward → backward → PVM
+        // writeback. `ppn-trace` renders the sampled tree.
+        let _step = ppn_obs::span::root("train.step");
+        let wall = ppn_obs::clock::now(); // for the train.step_ms histogram
+        let synth = ppn_obs::span!("train.synth");
         let t0 = self.sample_start();
         let tn = self.train_cfg.batch;
         let m1 = self.dataset.assets() + 1;
@@ -243,11 +242,11 @@ impl<'a> Trainer<'a> {
             WindowBatch::new(&windows, &prevs, self.dataset.assets(), k, self.net.cfg.features);
         let rel_t = Tensor::from_vec(&[tn, m1], rels);
         let hat_t = Tensor::from_vec(&[tn, m1], drifted);
-        let t_synth = ppn_obs::clock::now();
-        tctx.emit_span("train.synth", wall, t_synth);
+        drop(synth);
 
         // Forward + reward + backward on the reused tape (taken out of
         // `self` so the borrow checker allows `self.net` access below).
+        let forward = ppn_obs::span!("train.forward");
         let mut g = std::mem::take(&mut self.tape);
         g.reset();
         let bind = self.net.store.bind(&mut g);
@@ -261,23 +260,23 @@ impl<'a> Trainer<'a> {
             self.reward_cfg.gamma,
             self.reward_cfg.psi,
         );
-        let t_forward = ppn_obs::clock::now();
-        tctx.emit_span("train.forward", t_synth, t_forward);
+        drop(forward);
+        let backward = ppn_obs::span!("train.backward");
         g.backward(nodes.loss);
         let mut grads = bind.grads(&g);
         let grad_norm = clip_global_norm(&mut grads, self.train_cfg.clip);
         self.opt.step(&mut self.net.store, &grads);
-        let t_backward = ppn_obs::clock::now();
-        tctx.emit_span("train.backward", t_forward, t_backward);
+        drop(backward);
 
         // Write the new actions back into the PVM.
+        let writeback = ppn_obs::span!("train.pvm_writeback");
         let a = g.value(actions);
         for b in 0..tn {
             let row = a.data()[b * m1..(b + 1) * m1].to_vec();
             crate::contracts::assert_simplex(&row, "Trainer::step PVM writeback");
             self.pvm[t0 + b] = row;
         }
-        tctx.emit_span("train.pvm_writeback", t_backward, ppn_obs::clock::now());
+        drop(writeback);
 
         let stats = StepStats {
             reward: g.value(nodes.reward).item(),

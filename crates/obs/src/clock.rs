@@ -11,7 +11,7 @@
 //! [`Instant`] (e.g. `t.elapsed()`) is fine anywhere — the nondeterminism
 //! enters at the read, and the read is what this module owns.
 
-use std::time::{Instant, SystemTime};
+use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 /// Reads the monotonic clock. The only sanctioned `Instant::now` for
 /// first-party crates outside obs/trace/bench.
@@ -25,6 +25,12 @@ pub fn now() -> Instant {
 #[inline]
 pub fn system_now() -> SystemTime {
     SystemTime::now()
+}
+
+/// Wall-clock milliseconds since the Unix epoch (0 if the clock is broken),
+/// for human-facing timestamps (log lines, manifests, model publish times).
+pub fn unix_ms() -> u64 {
+    system_now().duration_since(UNIX_EPOCH).map(|d| d.as_millis() as u64).unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -41,6 +47,7 @@ mod tests {
 
     #[test]
     fn system_clock_is_after_unix_epoch() {
-        assert!(system_now().duration_since(std::time::UNIX_EPOCH).is_ok());
+        assert!(system_now().duration_since(UNIX_EPOCH).is_ok());
+        assert!(unix_ms() > 0);
     }
 }

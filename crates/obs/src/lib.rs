@@ -4,25 +4,26 @@
 //!
 //! Zero-heavy-dependency observability substrate for the PPN workspace:
 //!
-//! * [`span`] — hierarchical wall-clock timers (`span!("train.step")`)
-//!   aggregated into a total/self-time report, a poor-man's profiler for the
-//!   tensor hot paths;
+//! * [`span`] — the one span primitive: `span!("train.step")` times a
+//!   scope into a total/self-time report (a poor-man's profiler for the
+//!   tensor hot paths) and, inside a sampled trace, also emits the span as a
+//!   `trace.span` event;
 //! * [`metrics`] — a process-wide registry of counters, gauges, and
 //!   fixed-bucket histograms behind `parking_lot` locks;
 //! * leveled structured logging ([`obs_info!`], [`event!`], …) with two
 //!   sinks: human-readable stderr and machine-readable JSONL under
 //!   `results/telemetry/`;
 //! * [`manifest::RunManifest`] — provenance capture (binary, args, seed,
-//!   git describe, timing) so every table/figure is reproducible from its
-//!   manifest;
-//! * [`trace`] — request-scoped distributed tracing ([`TraceSpan`] /
-//!   [`TraceContext`]) with `PPN_TRACE_SAMPLE=1/N` sampling, emitted as
-//!   `trace.span` JSONL events the `ppn-trace` binary turns into
-//!   flamegraphs, latency breakdowns, and waterfalls;
+//!   git describe, timing, the final span report) so every table/figure is
+//!   reproducible from its manifest;
+//! * [`trace`] — what request tracing adds to spans: the `Copy`
+//!   [`TraceContext`] that carries a trace across threads,
+//!   `PPN_TRACE_SAMPLE=1/N` sampling, and the `trace.span` JSONL events the
+//!   `ppn-trace` binary turns into flamegraphs, latency breakdowns, and
+//!   waterfalls;
 //! * [`prom`] — Prometheus text exposition of metric snapshots (cumulative
-//!   `le` buckets, `+Inf`, `_sum`/`_count`) plus log-linear auto-bucketing;
-//! * [`stats::StatsServer`] — a one-thread `GET /metrics` Prometheus
-//!   endpoint so trainers and experiment binaries can be scraped mid-run.
+//!   `le` buckets, `+Inf`, `_sum`/`_count`) plus log-linear auto-bucketing,
+//!   served by ppn-serve's `GET /metrics`.
 //!
 //! ## Configuration
 //!
@@ -53,10 +54,8 @@ pub mod metrics;
 pub mod prom;
 /// Log/event sinks: human-readable stderr and machine-readable JSONL.
 pub mod sink;
-/// Hierarchical wall-clock span timing (the aggregate profiler).
+/// Spans: aggregate wall-clock timing plus sampled trace events.
 pub mod span;
-/// Lightweight Prometheus stats endpoint for trainer-side processes.
-pub mod stats;
 /// Request-scoped distributed tracing with `PPN_TRACE_SAMPLE` sampling.
 pub mod trace;
 
@@ -65,9 +64,8 @@ pub use metrics::{
     auto_histogram, counter, gauge, gauge_peak, histogram, metrics_snapshot, MetricsSnapshot,
 };
 pub use sink::{emit_event, emit_log, FieldValue};
-pub use span::{span_report, span_stats, SpanGuard, SpanStat};
-pub use stats::StatsServer;
-pub use trace::{TraceContext, TraceSpan};
+pub use span::{span_report, span_stats, Span, SpanStat};
+pub use trace::TraceContext;
 
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -246,7 +244,7 @@ pub fn metrics_enabled() -> bool {
     METRICS_ON.load(Ordering::Relaxed)
 }
 
-/// Times a lexical scope: `let _g = span!("train.step");`.
+/// Times a lexical scope: `let _g = span!("train.step");` (see [`span`]).
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {

@@ -60,7 +60,7 @@ fn git_describe() -> Option<String> {
 impl RunManifest {
     /// Captures process-level provenance for an experiment called `name`.
     pub fn capture(name: &str) -> RunManifest {
-        let started_unix_ms = crate::sink::unix_ms();
+        let started_unix_ms = crate::clock::unix_ms();
         RunManifest {
             schema: 1,
             run_id: format!("{name}-{started_unix_ms}-{}", std::process::id()),

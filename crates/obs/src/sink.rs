@@ -5,13 +5,14 @@
 //! object per line to `results/telemetry/<process>-<pid>.jsonl` (or the
 //! `jsonl=PATH` override), created lazily on first write.
 
+use crate::clock::unix_ms;
 use crate::Level;
 use parking_lot::Mutex;
 use std::fs;
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::OnceLock;
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::time::Instant;
 
 /// A typed structured-event field value.
 #[derive(Debug, Clone, PartialEq)]
@@ -104,11 +105,6 @@ fn uptime_secs() -> f64 {
 pub fn instant_offset_ns(t: Instant) -> u64 {
     let start = *PROCESS_START.get_or_init(Instant::now);
     t.checked_duration_since(start).map(|d| d.as_nanos() as u64).unwrap_or(0)
-}
-
-/// Milliseconds since the Unix epoch (0 if the clock is broken).
-pub fn unix_ms() -> u64 {
-    SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_millis() as u64).unwrap_or(0)
 }
 
 /// Short name of the running executable.

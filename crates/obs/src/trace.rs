@@ -1,12 +1,14 @@
 //! Request-scoped distributed tracing: trace/span ids, sampling, and JSONL
 //! span events.
 //!
-//! A [`TraceSpan`] is one timed operation; a [`TraceContext`] is the
-//! (trace id, span id) pair children attach to. The root span of a request
-//! decides — once — whether the whole trace is **sampled**; everything
-//! derived from an unsampled root is inert (a couple of relaxed atomic ops,
-//! no clock reads, no emission), which is what keeps tracing inside the
-//! observability overhead budget.
+//! Spans themselves are [`crate::span::Span`] guards: one guard both feeds
+//! the aggregate span report and, when sampled, emits a `trace.span` event.
+//! This module owns what tracing adds on top — the [`TraceContext`]
+//! (trace id, span id) pair, the sampler, and the event format. A trace
+//! root ([`crate::span::root`] / [`crate::span::detached`]) decides — once —
+//! whether the whole trace is **sampled**; everything under an unsampled
+//! root is inert (no ids, no emission), which is what keeps tracing inside
+//! the observability overhead budget.
 //!
 //! Sampling is driven by the `PPN_TRACE_SAMPLE` environment variable:
 //!
@@ -16,21 +18,22 @@
 //! | `1` or `1/1` | every trace sampled |
 //! | `1/N` (or bare `N`) | every `N`-th root span sampled |
 //!
-//! Sampled spans are emitted on drop as `trace.span` events through the
+//! Sampled spans are emitted on close as `trace.span` events through the
 //! standard sink (enable the JSONL sink with `PPN_OBS=jsonl=PATH` to
 //! capture them), carrying hex `trace`/`span`/`parent` ids, the span name,
 //! and `start_ns`/`dur_ns` relative to process start. The `ppn-trace`
 //! binary turns these lines into flamegraphs, latency breakdowns, and
 //! per-trace waterfalls.
 //!
+//! A [`TraceContext`] is `Copy`, so it carries a trace across threads:
+//!
 //! ```no_run
-//! let root = ppn_obs::trace::TraceSpan::root("serve.request");
-//! let ctx = root.context();
-//! {
-//!     let _forward = ctx.child("serve.forward");
-//!     // … batched forward pass …
-//! } // `serve.forward` emitted here (if sampled)
-//! // `serve.request` emitted when `root` drops
+//! let request = ppn_obs::span::detached("serve.request");
+//! let ctx = request.context(); // shipped to the worker thread
+//! let enqueued = std::time::Instant::now();
+//! // … on the worker, once the job is drained …
+//! ctx.emit_span("serve.queue_wait", enqueued, std::time::Instant::now());
+//! // `serve.request` emitted when `request` drops (if sampled)
 //! ```
 
 use crate::sink::instant_offset_ns;
@@ -127,6 +130,15 @@ fn sample_next() -> bool {
     ROOT_SEQ.fetch_add(1, Ordering::Relaxed).is_multiple_of(every)
 }
 
+/// Coordinates for a new trace root: fresh ids when the sampler picks it,
+/// inert otherwise (an unsampled root costs two relaxed atomic ops).
+pub(crate) fn start_trace() -> TraceContext {
+    if !sample_next() {
+        return TraceContext::inert();
+    }
+    TraceContext { trace_id: next_id(), span_id: next_id() }
+}
+
 /// The (trace id, span id) coordinates children attach to. `Copy`, 16
 /// bytes, safe to ship across threads inside queued requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,7 +146,7 @@ pub struct TraceContext {
     /// Trace id shared by every span of one request; 0 = unsampled.
     trace_id: u64,
     /// The span new children report as their parent.
-    span_id: u64,
+    pub(crate) span_id: u64,
 }
 
 impl TraceContext {
@@ -155,18 +167,12 @@ impl TraceContext {
         self.is_sampled().then(|| format!("{:016x}", self.trace_id))
     }
 
-    /// Opens a child span guard; the span is emitted when the guard drops.
-    #[inline]
-    pub fn child(&self, name: &'static str) -> TraceSpan {
+    /// Coordinates for a child span of this one (inert when unsampled).
+    pub(crate) fn new_child(&self) -> TraceContext {
         if !self.is_sampled() {
-            return TraceSpan::inert();
+            return TraceContext::inert();
         }
-        TraceSpan {
-            ctx: TraceContext { trace_id: self.trace_id, span_id: next_id() },
-            parent: self.span_id,
-            name,
-            start: Some(Instant::now()),
-        }
+        TraceContext { trace_id: self.trace_id, span_id: next_id() }
     }
 
     /// Emits a child span with explicit endpoints — for stages whose start
@@ -177,7 +183,7 @@ impl TraceContext {
             return;
         }
         let dur = end.saturating_duration_since(start);
-        emit_span_event(self.trace_id, next_id(), self.span_id, name, start, dur.as_nanos() as u64);
+        emit_span_event(self.new_child(), self.span_id, name, start, dur.as_nanos() as u64);
     }
 
     /// Attaches a key/value annotation to this context's span, emitted as a
@@ -201,62 +207,11 @@ impl TraceContext {
     }
 }
 
-/// RAII guard for one traced operation; emits its `trace.span` event on
-/// drop. Obtain via [`TraceSpan::root`] or [`TraceContext::child`].
-pub struct TraceSpan {
-    /// trace id + this span's own id (the parent for nested children).
-    ctx: TraceContext,
-    parent: u64,
-    name: &'static str,
-    /// `None` for inert (unsampled) spans — no clock read is paid.
-    start: Option<Instant>,
-}
-
-impl TraceSpan {
-    /// An inert span: context is unsampled, drop emits nothing.
-    pub fn inert() -> TraceSpan {
-        TraceSpan { ctx: TraceContext::inert(), parent: 0, name: "", start: None }
-    }
-
-    /// Starts a new trace root, applying the every-Nth sampling decision.
-    /// Unsampled roots are inert and cost two relaxed atomic ops.
-    pub fn root(name: &'static str) -> TraceSpan {
-        if !sample_next() {
-            return TraceSpan::inert();
-        }
-        TraceSpan {
-            ctx: TraceContext { trace_id: next_id(), span_id: next_id() },
-            parent: 0,
-            name,
-            start: Some(Instant::now()),
-        }
-    }
-
-    /// The context children of this span should attach to.
-    pub fn context(&self) -> TraceContext {
-        self.ctx
-    }
-
-    /// Whether this span will be emitted on drop.
-    pub fn is_sampled(&self) -> bool {
-        self.ctx.is_sampled()
-    }
-}
-
-impl Drop for TraceSpan {
-    fn drop(&mut self) {
-        let Some(start) = self.start else { return };
-        let dur_ns = start.elapsed().as_nanos() as u64;
-        emit_span_event(self.ctx.trace_id, self.ctx.span_id, self.parent, self.name, start, dur_ns);
-    }
-}
-
 /// Writes one `trace.span` event through the sink (trace level, so it only
 /// reaches sinks configured to accept the firehose — in practice the JSONL
 /// sink).
-fn emit_span_event(
-    trace_id: u64,
-    span_id: u64,
+pub(crate) fn emit_span_event(
+    ctx: TraceContext,
     parent: u64,
     name: &str,
     start: Instant,
@@ -269,8 +224,8 @@ fn emit_span_event(
         Level::Trace,
         "trace.span",
         &[
-            ("trace", FieldValue::Str(format!("{trace_id:016x}"))),
-            ("span", FieldValue::Str(format!("{span_id:016x}"))),
+            ("trace", FieldValue::Str(format!("{:016x}", ctx.trace_id))),
+            ("span", FieldValue::Str(format!("{:016x}", ctx.span_id))),
             ("parent", FieldValue::Str(format!("{parent:016x}"))),
             ("name", FieldValue::Str(name.to_string())),
             ("start_ns", FieldValue::U64(instant_offset_ns(start))),
@@ -313,44 +268,52 @@ mod tests {
 
     #[test]
     fn inert_spans_stay_inert() {
-        let span = TraceSpan::inert();
-        assert!(!span.is_sampled());
-        let ctx = span.context();
+        let ctx = TraceContext::inert();
         assert!(!ctx.is_sampled());
         assert!(ctx.trace_id_hex().is_none());
-        let child = ctx.child("x");
-        assert!(!child.is_sampled());
+        assert!(!ctx.new_child().is_sampled());
         // emit_span/annotate on an inert context are no-ops (must not
         // panic or emit).
         ctx.emit_span("y", Instant::now(), Instant::now());
         ctx.annotate("model_version", 7);
+        // With sampling off, roots and their children stay unsampled.
+        let _serial = SAMPLE_LOCK.lock();
+        set_sample_rate(0);
+        let root = crate::span::detached("t.off");
+        assert!(!root.context().is_sampled());
+        assert!(!root.child("t.off_child").context().is_sampled());
     }
 
     #[test]
     fn sampling_picks_every_nth_root() {
         let _serial = SAMPLE_LOCK.lock();
         set_sample_rate(4);
+        let sampled = || crate::span::root("t.count").context().is_sampled();
         // Align to the start of a sampling period, then count.
-        while !TraceSpan::root("t.align").is_sampled() {}
-        let sampled = (0..16).filter(|_| TraceSpan::root("t.count").is_sampled()).count();
+        while !sampled() {}
+        let hits = (0..16).filter(|_| sampled()).count();
         set_sample_rate(0);
-        assert_eq!(sampled, 4, "1/4 sampling over the 16 roots after an aligned hit");
+        assert_eq!(hits, 4, "1/4 sampling over the 16 roots after an aligned hit");
     }
 
     #[test]
-    fn child_contexts_link_to_their_parent() {
+    fn child_spans_link_to_their_parent() {
         let _serial = SAMPLE_LOCK.lock();
         set_sample_rate(1);
-        let root = TraceSpan::root("t.root");
-        assert!(root.is_sampled());
-        let ctx = root.context();
-        let child = ctx.child("t.child");
-        assert!(child.is_sampled());
-        let grandchild_ctx = child.context();
-        assert!(grandchild_ctx.is_sampled());
-        // Same trace, fresh span id.
-        assert_eq!(ctx.trace_id_hex(), grandchild_ctx.trace_id_hex());
-        assert_ne!(ctx.span_id, grandchild_ctx.span_id);
+        let root = crate::span::root("t.root");
+        let request = crate::span::detached("t.request");
         set_sample_rate(0);
+        // A lexical span opened inside a root joins its trace, and so does
+        // the child of a detached span, each with a fresh span id.
+        let pairs = [
+            (root.context(), crate::span!("t.lexical").context()),
+            (request.context(), request.child("t.respond").context()),
+        ];
+        for (parent, child) in pairs {
+            assert!(parent.is_sampled() && child.is_sampled());
+            assert_eq!(parent.trace_id_hex(), child.trace_id_hex());
+            assert_ne!(parent.span_id, child.span_id);
+        }
+        assert_ne!(root.context().trace_id_hex(), request.context().trace_id_hex());
     }
 }

@@ -1,8 +1,9 @@
 //! End-to-end trace emission: sampled spans written through the JSONL sink
 //! carry the documented `trace.span` schema (hex ids, parent links,
-//! `start_ns`/`dur_ns`), and snapshot serialization is byte-stable.
+//! `start_ns`/`dur_ns`) and also land in the aggregate span report, and
+//! snapshot serialization is byte-stable.
 
-use ppn_obs::trace::{set_sample_rate, TraceSpan};
+use ppn_obs::trace::set_sample_rate;
 use ppn_obs::{Level, ObsConfig};
 use serde_json::Value;
 use std::time::Duration;
@@ -20,11 +21,11 @@ fn sampled_spans_emit_linked_jsonl_events() {
     });
     set_sample_rate(1);
     {
-        let root = TraceSpan::root("t.request");
-        assert!(root.is_sampled());
+        let root = ppn_obs::span::root("t.request");
         let ctx = root.context();
+        assert!(ctx.is_sampled());
         {
-            let _child = ctx.child("t.forward");
+            let _child = ppn_obs::span!("t.forward");
             std::thread::sleep(Duration::from_millis(2));
         }
         let t0 = std::time::Instant::now();
@@ -72,6 +73,19 @@ fn sampled_spans_emit_linked_jsonl_events() {
     assert!(num_field(explicit, "dur_ns") >= 1e6);
     assert!(num_field(root, "dur_ns") >= num_field(child, "dur_ns"));
     assert!(num_field(child, "start_ns") >= num_field(root, "start_ns"));
+
+    // The same guards fed the aggregate report: one entry per lexical span,
+    // the child nested under the root and charged to its child time. The
+    // explicit cross-thread span is trace-only.
+    let stats = ppn_obs::span_stats();
+    let stat = |path: &str| {
+        stats.iter().find(|s| s.path == path).unwrap_or_else(|| panic!("{path} in {stats:?}"))
+    };
+    let (root_stat, child_stat) = (stat("t.request"), stat("t.request/t.forward"));
+    assert_eq!((root_stat.count, child_stat.count), (1, 1));
+    assert_eq!(root_stat.child_ns, child_stat.total_ns);
+    assert!(child_stat.total_ns >= 2_000_000);
+    assert!(stats.iter().all(|s| s.name() != "t.queue_wait"));
 }
 
 #[test]

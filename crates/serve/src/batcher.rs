@@ -76,12 +76,12 @@ pub fn process_batch(registry: &ModelRegistry, mut jobs: Vec<QueuedRequest>) {
         let prevs: Vec<Vec<f64>> = valid.iter().map(|j| j.request.prev_action.clone()).collect();
         let batch_size = valid.len();
         batch_hist.observe(batch_size as f64);
+        // One interval times the forward pass for both the aggregate
+        // `serve.forward` span and each sampled job's trace.
         let assembled_at = ppn_obs::clock::now();
-        let outputs = {
-            let _span = ppn_obs::span!("serve.forward");
-            net.act_batch(&windows, &prevs)
-        };
-        let forwarded_at = ppn_obs::clock::now();
+        let forward = ppn_obs::span::enter_at("serve.forward", assembled_at);
+        let outputs = net.act_batch(&windows, &prevs);
+        let forwarded_at = forward.close();
         for job in &valid {
             job.trace.emit_span("serve.queue_wait", job.enqueued_at, drained_at);
             job.trace.emit_span("serve.batch_assemble", drained_at, assembled_at);

@@ -18,7 +18,7 @@
 
 use crate::queue::ReplyReceiver;
 use crate::{error_json, metrics};
-use ppn_obs::TraceSpan;
+use ppn_obs::Span;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -188,7 +188,7 @@ struct WaitingSlot {
     deadline: Instant,
     /// The request's `serve.request` root span; dropped (ending the span)
     /// when the response is rendered.
-    root: TraceSpan,
+    root: Span,
     keep_alive: bool,
 }
 
@@ -308,7 +308,7 @@ impl Conn {
         rx: ReplyReceiver,
         started: Instant,
         deadline: Instant,
-        root: TraceSpan,
+        root: Span,
         keep_alive: bool,
     ) {
         self.pending.push_back(Slot::Waiting(Box::new(WaitingSlot {
@@ -330,7 +330,7 @@ impl Conn {
         for slot in self.pending.iter_mut() {
             let Slot::Waiting(w) = slot else { continue };
             if let Some(outcome) = w.rx.try_take() {
-                let _respond = w.root.context().child("serve.respond");
+                let _respond = w.root.child("serve.respond");
                 metrics::latency_ms().observe(ms_between(w.started, now));
                 let (status, body, model_version) = match outcome {
                     Ok(resp) => {

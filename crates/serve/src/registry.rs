@@ -187,7 +187,7 @@ impl ModelRegistry {
     /// [`ModelRegistry::publish`] for an already-shared network.
     pub fn publish_arc(&self, name: impl Into<String>, net: Arc<PolicyNet>) -> ModelVersion {
         let name = name.into();
-        let now_ms = unix_ms();
+        let now_ms = ppn_obs::clock::unix_ms();
         let mut models = self.models.write();
         let (version, swapped) = match models.get_mut(&name) {
             Some(state) => {
@@ -243,7 +243,7 @@ impl ModelRegistry {
     /// [`RegistryError::UnknownModel`] when the name was never published,
     /// [`RegistryError::UnknownVersion`] when the version is not retained.
     pub fn rollback(&self, name: &str, version: ModelVersion) -> Result<(), RegistryError> {
-        let now_ms = unix_ms();
+        let now_ms = ppn_obs::clock::unix_ms();
         let mut models = self.models.write();
         let state =
             models.get_mut(name).ok_or_else(|| RegistryError::UnknownModel(name.to_string()))?;
@@ -343,14 +343,6 @@ impl ModelRegistry {
     pub fn is_empty(&self) -> bool {
         self.models.read().is_empty()
     }
-}
-
-/// Wall-clock unix milliseconds via the workspace clock chokepoint.
-fn unix_ms() -> u64 {
-    ppn_obs::clock::system_now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@ use crate::queue::{reply_pair, QueuedRequest, RequestQueue};
 use crate::registry::ModelRegistry;
 use crate::{error_json, metrics, DecideRequest, RollbackRequest};
 use mio::{Events, Interest, Poll, Token, Waker};
-use ppn_obs::{clock, TraceSpan};
+use ppn_obs::clock;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::io::{self, Write};
@@ -475,11 +475,13 @@ fn route_request(
                 respond_error(conn, 503, "server is shutting down", &[], keep, now);
                 return;
             }
-            // Root span for the request's whole server-side lifetime. Inert
-            // unless picked by `PPN_TRACE_SAMPLE` every-Nth sampling; the
-            // context rides through the queue so the batcher can attach the
-            // queue-wait / assemble / forward stage spans to the same trace.
-            let root = TraceSpan::root("serve.request");
+            // Root span for the request's whole server-side lifetime,
+            // detached because the connection holds it until the response
+            // is rendered. Traced only when picked by `PPN_TRACE_SAMPLE`
+            // every-Nth sampling; the context rides through the queue so the
+            // batcher can attach the queue-wait / assemble / forward stage
+            // spans to the same trace.
+            let root = ppn_obs::span::detached("serve.request");
             let trace = root.context();
             let (tx, rx) = reply_pair();
             let job = QueuedRequest { request: parsed, reply: tx, enqueued_at: now, trace };
