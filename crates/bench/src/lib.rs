@@ -3,8 +3,7 @@
 //! # ppn-bench
 //!
 //! Experiment harness reproducing every table and figure of the paper's
-//! evaluation (see DESIGN.md §3 for the per-experiment index), plus the
-//! Criterion microbenches backing the design-choice ablations (DESIGN.md §4).
+//! evaluation (see DESIGN.md §3 for the per-experiment index).
 //!
 //! Each table/figure has a dedicated binary under `src/bin/`; results are
 //! printed, written to `results/`, and neural training runs are cached under

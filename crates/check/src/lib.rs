@@ -31,7 +31,7 @@
 //!
 //! First-party crates only. A crate is first-party when its package name
 //! starts with `ppn` — the vendored dependency shims (`rand`, `serde*`,
-//! `proptest`, `criterion`, `parking_lot`) keep their upstream names in
+//! `proptest`, `parking_lot`, `mio`) keep their upstream names in
 //! their manifests and are exempted via that manifest allowlist, not by
 //! path, so moving or adding shims never silently widens the lint surface.
 //!

@@ -24,16 +24,9 @@ fn vendored_shims_are_discovered_but_exempt() {
     let crates = ppn_check::discover(&workspace_root()).expect("discover");
     let shims: Vec<&str> =
         crates.iter().filter(|c| !c.is_first_party()).map(|c| c.name.as_str()).collect();
-    for expected in [
-        "rand",
-        "serde",
-        "serde_derive",
-        "serde_json",
-        "proptest",
-        "criterion",
-        "parking_lot",
-        "mio",
-    ] {
+    for expected in
+        ["rand", "serde", "serde_derive", "serde_json", "proptest", "parking_lot", "mio"]
+    {
         assert!(shims.contains(&expected), "{expected} missing from {shims:?}");
     }
     let first_party: Vec<&str> =
@@ -55,8 +48,8 @@ fn vendored_shims_are_discovered_but_exempt() {
 fn report_counts_shims() {
     let report = ppn_check::run(&workspace_root()).expect("workspace scan");
     assert_eq!(
-        report.shims_skipped, 8,
-        "rand, serde, serde_derive, serde_json, proptest, criterion, parking_lot, mio"
+        report.shims_skipped, 7,
+        "rand, serde, serde_derive, serde_json, proptest, parking_lot, mio"
     );
 }
 

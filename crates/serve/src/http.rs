@@ -13,8 +13,7 @@
 //!
 //! Client side: [`http_request`] stays the blocking one-shot helper
 //! (`Connection: close`) and [`HttpClient`] is a persistent keep-alive
-//! client able to pipeline, used by the e2e tests and the `serve_probe`
-//! soak bench.
+//! client able to pipeline, used by the e2e tests.
 
 use crate::queue::ReplyReceiver;
 use crate::{error_json, metrics};
@@ -157,24 +156,6 @@ pub fn format_response(
     let mut out = head.into_bytes();
     out.extend_from_slice(body.as_bytes());
     out
-}
-
-/// Writes a complete JSON response (`Connection: close`) and flushes the
-/// stream — the blocking-path helper kept for tools and tests.
-pub fn write_response(stream: &mut TcpStream, status: u16, body: &str) -> io::Result<()> {
-    write_response_typed(stream, status, "application/json", body)
-}
-
-/// Writes a complete response with an explicit `Content-Type`
-/// (`Connection: close`) and flushes.
-pub fn write_response_typed(
-    stream: &mut TcpStream,
-    status: u16,
-    content_type: &str,
-    body: &str,
-) -> io::Result<()> {
-    stream.write_all(&format_response(status, content_type, &[], body, false))?;
-    stream.flush()
 }
 
 // ---------------------------------------------------------------------------

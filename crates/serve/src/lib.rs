@@ -35,8 +35,8 @@
 //! Because every tensor kernel keeps its per-row accumulation order
 //! independent of the batch dimension, a micro-batched decision is
 //! **bit-identical** to the same request served alone — batching is purely a
-//! throughput optimisation, never a numerics change (`serve_probe` asserts
-//! this end to end).
+//! throughput optimisation, never a numerics change (`tests/serve_e2e.rs`
+//! asserts this end to end).
 //!
 //! Models come from [`ppn_core::persist`] checkpoints or live publication
 //! via the [`registry::ModelRegistry`] — a concurrent *versioned* store:
@@ -205,8 +205,8 @@ pub fn error_json(msg: &str) -> String {
     s.finish()
 }
 
-/// The server's `ppn-obs` instruments, shared by the event loop, the
-/// batcher, and `serve_probe` (handles are process-global by name).
+/// The server's `ppn-obs` instruments, shared by the event loop and the
+/// batcher (handles are process-global by name).
 pub mod metrics {
     /// Batch-size histogram bounds.
     pub const BATCH_BOUNDS: [f64; 7] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];

@@ -124,6 +124,11 @@ pub mod metrics {
         ppn_obs::histogram("stream.divergence", &[0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0])
     }
 
+    /// Updater threads that died by panic.
+    pub fn updater_panics() -> ppn_obs::metrics::Counter {
+        ppn_obs::counter("stream.updater_panics")
+    }
+
     /// Wall-clock milliseconds the registry swap (publish call) took.
     pub fn swap_ms() -> ppn_obs::metrics::Histogram {
         ppn_obs::histogram("stream.swap_ms", &[0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 25.0])

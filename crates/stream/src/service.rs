@@ -44,6 +44,9 @@ pub struct StreamStats {
     pub live_version: u64,
     /// True once the feed is exhausted or a stop was requested.
     pub finished: bool,
+    /// True when the updater thread died by panic; serving keeps the last
+    /// published version and the stream adapts no further.
+    pub panicked: bool,
 }
 
 /// A running streaming updater.
@@ -108,14 +111,27 @@ impl StreamService {
     }
 
     /// Requests shutdown, joins the updater thread, and returns the final
-    /// counters.
+    /// counters; [`StreamStats::panicked`] reports a crashed updater.
     pub fn stop(self) -> StreamStats {
         self.stop.store(true, Ordering::Relaxed);
-        // A panicked updater already logged through the panic hook; the
-        // final counters remain meaningful either way.
+        // The join error is the panic payload, which the panic hook already
+        // printed; the crash itself is recorded by the worker's `PanicFlag`.
         let _ = self.handle.join();
         let stats = self.stats.lock().clone();
         stats
+    }
+}
+
+/// Records a crash in the shared counters when the updater thread unwinds
+/// past it, so a dead stream is visible before anyone joins it.
+struct PanicFlag<'a>(&'a parking_lot::Mutex<StreamStats>);
+
+impl Drop for PanicFlag<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            metrics::updater_panics().inc();
+            self.0.lock().panicked = true;
+        }
     }
 }
 
@@ -131,6 +147,7 @@ struct StreamWorker {
 
 impl StreamWorker {
     fn run(self, net: PolicyNet, reward: RewardConfig, pretrain: TrainConfig) {
+        let _crash = PanicFlag(&self.stats);
         let _span = ppn_obs::span!("stream.run");
         // Pre-train on the training split, publish the initial version.
         let mut trainer = Trainer::with_net(Arc::clone(&self.dataset), net, reward, pretrain);
@@ -272,5 +289,32 @@ mod tests {
         assert!(stats.bars < 60, "stop must interrupt the paced feed");
         assert_eq!(stats.publishes, 1);
         assert_eq!(registry.live_version("live"), Some(1));
+    }
+
+    #[test]
+    fn stop_reports_a_panicked_updater() {
+        let (ds, net, reward, pretrain) = tiny_world();
+        // A batch wider than the 200-bar training split cannot be sampled,
+        // so pretraining panics before anything is published.
+        let pretrain = TrainConfig { batch: 400, ..pretrain };
+        let registry = Arc::new(ModelRegistry::new());
+        let panics = metrics::updater_panics().get();
+        let svc = StreamService::start(
+            Arc::clone(&registry),
+            "live",
+            ds,
+            net,
+            reward,
+            pretrain,
+            StreamConfig::default(),
+        );
+        let stats = svc.stop();
+        assert!(stats.panicked);
+        assert!(!stats.finished);
+        assert_eq!(stats.publishes, 0);
+        assert_eq!(registry.live_version("live"), None);
+        if ppn_obs::metrics_enabled() {
+            assert!(metrics::updater_panics().get() > panics);
+        }
     }
 }

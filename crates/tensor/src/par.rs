@@ -11,8 +11,8 @@
 //!
 //! The effective count comes from, in priority order:
 //!
-//! 1. a scoped [`with_threads`] override (used by tests and the
-//!    `speed_probe` sweep to compare thread counts inside one process),
+//! 1. a scoped [`with_threads`] override (used by tests to compare thread
+//!    counts inside one process, and by `perfbench` to pin its pool size),
 //! 2. the `PPN_THREADS` environment variable (read once, cached),
 //! 3. [`std::thread::available_parallelism`].
 //!

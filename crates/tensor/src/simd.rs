@@ -25,8 +25,8 @@ thread_local! {
 }
 
 /// Runs `f` with the intrinsics paths disabled on this thread (nestable,
-/// panic-safe). Used by the bit-identity tests and `speed_probe` to compare
-/// scalar and vector kernels inside one process.
+/// panic-safe). Used by the bit-identity tests to compare scalar and vector
+/// kernels inside one process.
 pub fn force_scalar<R>(f: impl FnOnce() -> R) -> R {
     struct Guard;
     impl Drop for Guard {

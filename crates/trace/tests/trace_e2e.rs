@@ -3,7 +3,8 @@
 //! render into a flamegraph carrying the documented stage chain
 //! (`serve.request;serve.queue_wait` / `…;serve.batch_assemble` /
 //! `…;serve.forward` / `…;serve.respond`), a non-empty breakdown, and a
-//! waterfall — and `/metrics` must speak Prometheus text along the way.
+//! waterfall, both in-process and through the `ppn-trace` binary — and
+//! `/metrics` must speak Prometheus text along the way.
 
 use ppn_core::config::NetConfig;
 use ppn_core::ppn::{PolicyNet, Variant};
@@ -85,4 +86,23 @@ fn traced_serve_run_renders_flamegraph_breakdown_and_waterfall() {
 
     let listing = ppn_trace::traces(&events);
     assert!(listing.lines().count() >= 4, "one line per traced request:\n{listing}");
+
+    // The CLI renders the same file.
+    let flame = run_cli("flame", &jsonl);
+    assert!(flame.contains("serve.request;serve.forward"), "{flame}");
+    let breakdown = run_cli("breakdown", &jsonl);
+    assert!(breakdown.contains("serve.queue_wait"), "{breakdown}");
+    let _ = std::fs::remove_file(&jsonl);
+}
+
+/// Runs the `ppn-trace` binary in `mode` over `jsonl`; returns its stdout
+/// after asserting a zero exit status.
+fn run_cli(mode: &str, jsonl: &std::path::Path) -> String {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_ppn-trace"))
+        .arg(mode)
+        .arg(jsonl)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "ppn-trace {mode}: {}", String::from_utf8_lossy(&out.stderr));
+    String::from_utf8(out.stdout).unwrap()
 }
