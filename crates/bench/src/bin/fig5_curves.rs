@@ -49,13 +49,12 @@ fn main() {
         .iter()
         .map(|(name, c)| ppn_bench::Series { name: name.clone(), values: c[..len].to_vec() })
         .collect();
-    let cfg = ppn_bench::ChartConfig {
-        title: "Fig. 5 — wealth development on Crypto-A (test split)".into(),
-        y_label: "accumulated portfolio value (log scale)".into(),
-        log_y: true,
-        ..Default::default()
-    };
-    ppn_bench::save_chart(&series, &cfg, "fig5_curves.svg").unwrap();
+    ppn_bench::save_chart(
+        &series,
+        "Fig. 5 — wealth development on Crypto-A (test split)",
+        "fig5_curves.svg",
+    )
+    .unwrap();
     ppn_obs::obs_info!("wrote results/fig5_curves.csv and results/fig5_curves.svg ({len} periods)");
     for (name, c) in &curves {
         ppn_obs::obs_info!("final APV {:<15} {:.2}", name, c.last().copied().unwrap_or(1.0));

@@ -38,13 +38,12 @@ fn main() {
         .iter()
         .map(|(name, c)| ppn_bench::Series { name: name.clone(), values: c[..len].to_vec() })
         .collect();
-    let cfg = ppn_bench::ChartConfig {
-        title: "Fig. 6 — PPN wealth under different gamma (Crypto-A)".into(),
-        y_label: "accumulated portfolio value (log scale)".into(),
-        log_y: true,
-        ..Default::default()
-    };
-    ppn_bench::save_chart(&series, &cfg, "fig6_gamma_curves.svg").unwrap();
+    ppn_bench::save_chart(
+        &series,
+        "Fig. 6 — PPN wealth under different gamma (Crypto-A)",
+        "fig6_gamma_curves.svg",
+    )
+    .unwrap();
     ppn_obs::obs_info!("wrote results/fig6_gamma_curves.csv and .svg ({len} periods)");
     for (name, c) in &curves {
         ppn_obs::obs_info!("{:<12} final APV {:.2}", name, c.last().copied().unwrap_or(1.0));

@@ -6,9 +6,12 @@
 //! PPN-AC lands well below PPN while still beating the handcraft baselines
 //! thanks to the shared two-stream actor.
 
-use ppn_bench::{default_config, fnum, run_cells, train_and_backtest, TableWriter};
+use ppn_bench::{default_config, fnum, run_cells, scaled_steps, train_and_backtest, TableWriter};
 use ppn_core::prelude::*;
 use ppn_market::{run_backtest, test_range, Dataset, Metrics, Preset};
+
+/// DDPG training steps for PPN-AC before `PPN_STEPS_SCALE`.
+const DDPG_STEPS: usize = 250;
 
 fn main() {
     let run = ppn_bench::start_run("table9_rl_algos");
@@ -25,13 +28,7 @@ fn main() {
     let results: Vec<Metrics> = run_cells("table9_rl_algos", &labels, |i| match i {
         0 => {
             // PPN-AC via DDPG.
-            let ddpg_cfg = DdpgConfig {
-                steps: std::env::var("PPN_DDPG_STEPS")
-                    .ok()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(250),
-                ..DdpgConfig::default()
-            };
+            let ddpg_cfg = DdpgConfig { steps: scaled_steps(DDPG_STEPS), ..DdpgConfig::default() };
             let actor =
                 DdpgTrainer::new(&ds, Variant::Ppn, RewardConfig::default(), ddpg_cfg).train();
             let mut ac_policy = NetPolicy::new(actor);

@@ -12,9 +12,9 @@
 pub mod plot;
 pub mod runner;
 
-pub use plot::{render_line_chart, save_chart, ChartConfig, Series};
+pub use plot::{render_line_chart, save_chart, Series};
 pub use runner::{
-    config_at, default_config, default_steps, fnum, preset_by_name, run_baselines, run_cells,
-    run_many, start_run, steps_for, train_and_backtest, variant_by_name, Budget, ExpConfig,
+    config_at, default_config, fnum, preset_by_name, run_baselines, run_cells, run_many,
+    scaled_steps, start_run, steps_for, train_and_backtest, variant_by_name, Budget, ExpConfig,
     ExpResult, TableWriter, TELEMETRY_DIR,
 };

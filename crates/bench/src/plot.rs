@@ -1,8 +1,8 @@
 //! Minimal dependency-free SVG line charts for the figure reproductions.
 //!
 //! Fig. 5 and Fig. 6 of the paper are wealth-curve plots; the figure
-//! binaries emit both the raw CSV series and an SVG rendered here. Log-scale
-//! y is supported because wealth curves compound.
+//! binaries emit both the raw CSV series and an SVG rendered here. The y
+//! axis is log-scale because wealth curves compound.
 
 /// One named series.
 pub struct Series {
@@ -12,31 +12,12 @@ pub struct Series {
     pub values: Vec<f64>,
 }
 
-/// Chart configuration.
-pub struct ChartConfig {
-    /// Chart title.
-    pub title: String,
-    /// y-axis label.
-    pub y_label: String,
-    /// Use log₁₀ scale on y (wealth curves).
-    pub log_y: bool,
-    /// Canvas width in px.
-    pub width: u32,
-    /// Canvas height in px.
-    pub height: u32,
-}
-
-impl Default for ChartConfig {
-    fn default() -> Self {
-        ChartConfig {
-            title: String::new(),
-            y_label: "value".into(),
-            log_y: false,
-            width: 960,
-            height: 540,
-        }
-    }
-}
+/// y-axis label shared by every wealth chart.
+const Y_LABEL: &str = "accumulated portfolio value (log scale)";
+/// Canvas width in px.
+const WIDTH: u32 = 960;
+/// Canvas height in px.
+const HEIGHT: u32 = 540;
 
 /// A categorical palette that stays readable on white.
 const PALETTE: [&str; 10] = [
@@ -44,23 +25,19 @@ const PALETTE: [&str; 10] = [
     "#b9bc33", "#2fbfc4",
 ];
 
-/// Renders the series to an SVG string.
+/// Renders the series to an SVG string with a log₁₀ y axis.
 ///
 /// # Panics
-/// Panics if no series or all series are empty, or (with `log_y`) if any
-/// value is non-positive.
-pub fn render_line_chart(series: &[Series], cfg: &ChartConfig) -> String {
+/// Panics if no series or all series are empty, or if any value is
+/// non-positive.
+pub fn render_line_chart(series: &[Series], title: &str) -> String {
     assert!(!series.is_empty(), "no series to plot");
     let n = series.iter().map(|s| s.values.len()).max().unwrap();
     assert!(n > 1, "series too short to plot");
 
     let transform = |v: f64| -> f64 {
-        if cfg.log_y {
-            assert!(v > 0.0, "log-scale chart needs positive values, got {v}");
-            v.log10()
-        } else {
-            v
-        }
+        assert!(v > 0.0, "log-scale chart needs positive values, got {v}");
+        v.log10()
     };
     let mut lo = f64::INFINITY;
     let mut hi = f64::NEG_INFINITY;
@@ -75,7 +52,7 @@ pub fn render_line_chart(series: &[Series], cfg: &ChartConfig) -> String {
         hi = lo + 1.0;
     }
 
-    let (w, h) = (cfg.width as f64, cfg.height as f64);
+    let (w, h) = (WIDTH as f64, HEIGHT as f64);
     let (ml, mr, mt, mb) = (70.0, 160.0, 40.0, 40.0); // margins (legend right)
     let px = |i: usize| ml + (w - ml - mr) * i as f64 / (n - 1) as f64;
     let py = |v: f64| {
@@ -86,13 +63,13 @@ pub fn render_line_chart(series: &[Series], cfg: &ChartConfig) -> String {
     let mut svg = String::new();
     svg.push_str(&format!(
         r#"<svg xmlns="http://www.w3.org/2000/svg" width="{}" height="{}" viewBox="0 0 {} {}">"#,
-        cfg.width, cfg.height, cfg.width, cfg.height
+        WIDTH, HEIGHT, WIDTH, HEIGHT
     ));
-    svg.push_str(&format!(r#"<rect width="{}" height="{}" fill="white"/>"#, cfg.width, cfg.height));
+    svg.push_str(&format!(r#"<rect width="{}" height="{}" fill="white"/>"#, WIDTH, HEIGHT));
     svg.push_str(&format!(
         r#"<text x="{}" y="24" font-family="sans-serif" font-size="16" text-anchor="middle">{}</text>"#,
         w / 2.0,
-        cfg.title
+        title
     ));
 
     // Axes + y grid lines with labels.
@@ -108,7 +85,7 @@ pub fn render_line_chart(series: &[Series], cfg: &ChartConfig) -> String {
     ));
     for g in 0..=4 {
         let t = lo + (hi - lo) * g as f64 / 4.0;
-        let v = if cfg.log_y { 10f64.powf(t) } else { t };
+        let v = 10f64.powf(t);
         let y = h - mb - (h - mt - mb) * g as f64 / 4.0;
         svg.push_str(&format!(
             r##"<line x1="{ml}" y1="{y}" x2="{}" y2="{y}" stroke="#ddd"/>"##,
@@ -125,7 +102,7 @@ pub fn render_line_chart(series: &[Series], cfg: &ChartConfig) -> String {
         r#"<text x="16" y="{}" font-family="sans-serif" font-size="12" transform="rotate(-90 16 {})" text-anchor="middle">{}</text>"#,
         h / 2.0,
         h / 2.0,
-        cfg.y_label
+        Y_LABEL
     ));
 
     // Series.
@@ -160,8 +137,8 @@ pub fn render_line_chart(series: &[Series], cfg: &ChartConfig) -> String {
 }
 
 /// Convenience: render and write to `results/<file>`.
-pub fn save_chart(series: &[Series], cfg: &ChartConfig, file: &str) -> std::io::Result<()> {
-    let svg = render_line_chart(series, cfg);
+pub fn save_chart(series: &[Series], title: &str, file: &str) -> std::io::Result<()> {
+    let svg = render_line_chart(series, title);
     std::fs::create_dir_all("results")?;
     std::fs::write(format!("results/{file}"), svg)
 }
@@ -179,7 +156,7 @@ mod tests {
 
     #[test]
     fn renders_valid_svg_with_all_series() {
-        let svg = render_line_chart(&demo_series(), &ChartConfig::default());
+        let svg = render_line_chart(&demo_series(), "demo");
         assert!(svg.starts_with("<svg"));
         assert!(svg.ends_with("</svg>"));
         assert!(svg.contains(">up<"));
@@ -193,8 +170,7 @@ mod tests {
             name: "wealth".into(),
             values: (0..100).map(|i| (0.05 * i as f64).exp()).collect(),
         }];
-        let cfg = ChartConfig { log_y: true, ..ChartConfig::default() };
-        let svg = render_line_chart(&series, &cfg);
+        let svg = render_line_chart(&series, "wealth");
         assert!(svg.contains("<path"));
     }
 
@@ -202,14 +178,37 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn log_scale_rejects_non_positive() {
         let series = vec![Series { name: "bad".into(), values: vec![1.0, 0.0, 2.0] }];
-        let cfg = ChartConfig { log_y: true, ..ChartConfig::default() };
-        let _ = render_line_chart(&series, &cfg);
+        let _ = render_line_chart(&series, "bad");
+    }
+
+    #[test]
+    fn rendered_bytes_are_pinned() {
+        // Guards the figure SVGs against accidental layout drift: length and
+        // FNV-1a hash of a fixed two-series chart.
+        let series = vec![
+            Series {
+                name: "PPN".into(),
+                values: (0..120)
+                    .map(|i| (0.03 * i as f64).exp() * (1.0 + 0.1 * (i as f64 * 0.7).sin()))
+                    .collect(),
+            },
+            Series {
+                name: "UBAH".into(),
+                values: (0..120).map(|i| 1.0 + 0.01 * i as f64).collect(),
+            },
+        ];
+        let svg =
+            render_line_chart(&series, "Fig. 5 — wealth development on Crypto-A (test split)");
+        let fnv = svg.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!((svg.len(), fnv), (4790, 0x4c34_4bb5_b060_b72c));
     }
 
     #[test]
     fn constant_series_does_not_divide_by_zero() {
         let series = vec![Series { name: "c".into(), values: vec![5.0; 10] }];
-        let svg = render_line_chart(&series, &ChartConfig::default());
+        let svg = render_line_chart(&series, "c");
         assert!(svg.contains("<path"));
         assert!(!svg.contains("NaN"));
     }

@@ -88,20 +88,12 @@ pub fn preset_by_name(name: &str) -> Preset {
 
 /// Parses a variant by its display name.
 pub fn variant_by_name(name: &str) -> Variant {
-    match name {
-        "PPN" => Variant::Ppn,
-        "PPN-I" => Variant::PpnI,
-        "PPN-LSTM" => Variant::PpnLstm,
-        "PPN-TCB" => Variant::PpnTcb,
-        "PPN-TCCB" => Variant::PpnTccb,
-        "PPN-TCB-LSTM" => Variant::PpnTcbLstm,
-        "PPN-TCCB-LSTM" => Variant::PpnTccbLstm,
-        "EIIE" => Variant::Eiie,
-        other => panic!("unknown variant {other}"),
-    }
+    Variant::from_name(name).unwrap_or_else(|| panic!("unknown variant {name}"))
 }
 
-fn scale_env(base: usize) -> usize {
+/// `base` training steps scaled by the `PPN_STEPS_SCALE` environment
+/// variable (default 1.0), floored at 10 steps.
+pub fn scaled_steps(base: usize) -> usize {
     let scale: f64 =
         std::env::var("PPN_STEPS_SCALE").ok().and_then(|s| s.parse().ok()).unwrap_or(1.0);
     ((base as f64) * scale).round().max(10.0) as usize
@@ -140,12 +132,7 @@ pub fn steps_for(preset: Preset, budget: Budget) -> usize {
         (Budget::Sweep, Preset::CryptoD) => 40,
         (Budget::Sweep, Preset::Sp500) => 60,
     };
-    scale_env(base)
-}
-
-/// Backwards-compatible alias for the full budget.
-pub fn default_steps(preset: Preset) -> usize {
-    steps_for(preset, Budget::Full)
+    scaled_steps(base)
 }
 
 /// Canonical config for `(preset, variant)` with the paper-default reward at
@@ -526,45 +513,4 @@ mod tests {
         assert!(out.contains("| a |"));
         assert!(out.lines().count() >= 4);
     }
-}
-
-/// Aggregate of a multi-seed repetition of the same configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SeedAggregate {
-    /// Per-seed results in seed order.
-    pub runs: Vec<ExpResult>,
-    /// Mean APV across seeds.
-    pub apv_mean: f64,
-    /// Sample standard deviation of APV across seeds (0 for a single seed).
-    pub apv_std: f64,
-    /// Mean Sharpe (%) across seeds.
-    pub sharpe_mean: f64,
-    /// Mean turnover across seeds.
-    pub turnover_mean: f64,
-}
-
-/// Runs (or loads) `cfg` under `seeds` different seeds and aggregates.
-/// Matches the paper's "averaged over N runs with random initialisation
-/// seeds" protocol; each seed is cached independently.
-pub fn train_and_backtest_seeds(cfg: &ExpConfig, seeds: &[u64]) -> SeedAggregate {
-    assert!(!seeds.is_empty());
-    let runs: Vec<ExpResult> = seeds
-        .iter()
-        .map(|&seed| {
-            let mut c = cfg.clone();
-            c.seed = seed;
-            train_and_backtest(&c)
-        })
-        .collect();
-    let apvs: Vec<f64> = runs.iter().map(|r| r.metrics.apv).collect();
-    let n = apvs.len() as f64;
-    let apv_mean = apvs.iter().sum::<f64>() / n;
-    let apv_std = if apvs.len() > 1 {
-        (apvs.iter().map(|a| (a - apv_mean).powi(2)).sum::<f64>() / (n - 1.0)).sqrt()
-    } else {
-        0.0
-    };
-    let sharpe_mean = runs.iter().map(|r| r.metrics.sharpe_pct).sum::<f64>() / n;
-    let turnover_mean = runs.iter().map(|r| r.metrics.turnover).sum::<f64>() / n;
-    SeedAggregate { runs, apv_mean, apv_std, sharpe_mean, turnover_mean }
 }

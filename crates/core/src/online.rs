@@ -58,12 +58,6 @@ impl<'a> OnlineNetPolicy<'a> {
     pub fn trainer(&self) -> &Trainer<'a> {
         &self.trainer
     }
-
-    /// Mutable access to the underlying trainer (checkpoint extraction and
-    /// horizon management in the streaming updater).
-    pub fn trainer_mut(&mut self) -> &mut Trainer<'a> {
-        &mut self.trainer
-    }
 }
 
 impl SequentialPolicy for OnlineNetPolicy<'_> {

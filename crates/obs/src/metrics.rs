@@ -267,11 +267,6 @@ pub fn auto_histogram(name: &str) -> Histogram {
     histogram(name, &crate::prom::default_latency_bounds_ms())
 }
 
-/// Clears the registry (between experiments / in tests).
-pub fn reset_metrics() {
-    *REGISTRY.lock() = None;
-}
-
 /// Serializable counter state.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct CounterSnapshot {

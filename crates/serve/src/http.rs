@@ -437,11 +437,6 @@ impl Conn {
         self.written < self.write_buf.len()
     }
 
-    /// True when at least one `/decide` outcome is still in flight.
-    pub fn has_inflight(&self) -> bool {
-        self.pending.iter().any(|s| matches!(s, Slot::Waiting(_)))
-    }
-
     /// True when the connection is finished and should be dropped: all
     /// responses flushed and either side has decided to close.
     pub fn finished(&self) -> bool {

@@ -181,12 +181,8 @@ impl ModelRegistry {
     /// increments `serve.model_swaps`). The swap itself is a pointer store
     /// under a short write lock — in-flight batches keep their pins.
     pub fn publish(&self, name: impl Into<String>, net: PolicyNet) -> ModelVersion {
-        self.publish_arc(name, Arc::new(net))
-    }
-
-    /// [`ModelRegistry::publish`] for an already-shared network.
-    pub fn publish_arc(&self, name: impl Into<String>, net: Arc<PolicyNet>) -> ModelVersion {
         let name = name.into();
+        let net = Arc::new(net);
         let now_ms = ppn_obs::clock::unix_ms();
         let mut models = self.models.write();
         let (version, swapped) = match models.get_mut(&name) {

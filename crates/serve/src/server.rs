@@ -38,14 +38,6 @@ pub struct ServeConfig {
     pub addr: String,
     /// Largest forward-pass batch the batcher will assemble.
     pub max_batch: usize,
-    /// Batcher stop-flag recheck slice while waiting on the queue condvar.
-    pub poll_interval: Duration,
-    /// Extra wait after the first drained request of a batch, letting
-    /// concurrent requests coalesce into the same forward pass.
-    pub gather_window: Duration,
-    /// How long a queued decision may stay unanswered before its slot
-    /// resolves to `504` (and the batcher job is cancelled).
-    pub request_timeout: Duration,
     /// Bounded decision-queue capacity; overflow is shed with `429`
     /// (`PPN_SERVE_QUEUE_CAP`).
     pub queue_cap: usize,
@@ -65,9 +57,6 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             max_batch: 32,
-            poll_interval: Duration::from_millis(5),
-            gather_window: Duration::from_micros(300),
-            request_timeout: Duration::from_secs(10),
             queue_cap: 1024,
             max_conns: 1024,
             idle_timeout: Duration::from_secs(30),
@@ -99,6 +88,17 @@ fn parse_env<T: std::str::FromStr>(raw: Option<String>) -> Option<T> {
     raw.and_then(|s| s.trim().parse().ok())
 }
 
+/// Batcher stop-flag recheck slice while waiting on the queue condvar.
+const POLL_INTERVAL: Duration = Duration::from_millis(5);
+
+/// Extra wait after the first drained request of a batch, letting
+/// concurrent requests coalesce into the same forward pass.
+const GATHER_WINDOW: Duration = Duration::from_micros(300);
+
+/// How long a queued decision may stay unanswered before its slot resolves
+/// to `504` (and the batcher job is cancelled).
+const REQUEST_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// Event-loop poll tick: the upper bound on how stale a deadline check
 /// (504 / 408 / idle reap) can be. Readiness and batch completions wake
 /// the loop immediately; only deadline granularity rides on this.
@@ -111,7 +111,7 @@ const FIRST_CONN: usize = 2;
 /// A running inference server.
 ///
 /// [`Server::shutdown`] (or dropping the handle) stops accepting, lets
-/// in-flight decisions finish (bounded by `request_timeout`), closes every
+/// in-flight decisions finish (bounded by `REQUEST_TIMEOUT`), closes every
 /// connection — idle ones immediately — drains the decision queue, and
 /// joins both threads.
 pub struct Server {
@@ -171,14 +171,14 @@ impl Server {
                     } else {
                         // Condvar-notified: wakes the instant work arrives;
                         // the timeout slice only bounds stop-flag latency.
-                        queue.wait_nonempty(cfg.poll_interval.max(Duration::from_millis(1)));
+                        queue.wait_nonempty(POLL_INTERVAL);
                     }
                     continue;
                 }
                 // Micro-batching: give concurrent requests a beat to land,
                 // then top the batch up before paying for a forward pass.
-                if jobs.len() < cfg.max_batch && !cfg.gather_window.is_zero() {
-                    std::thread::sleep(cfg.gather_window);
+                if jobs.len() < cfg.max_batch {
+                    std::thread::sleep(GATHER_WINDOW);
                     jobs.extend(queue.drain(cfg.max_batch - jobs.len()));
                 }
                 process_batch(&registry, jobs);
@@ -313,7 +313,7 @@ fn run_event_loop(
             loop {
                 match entry.conn.next_request() {
                     Ok(Some(req)) => {
-                        route_request(&mut entry.conn, req, registry, queue, cfg, stopping, now)
+                        route_request(&mut entry.conn, req, registry, queue, stopping, now)
                     }
                     Ok(None) => break,
                     Err(e) => {
@@ -335,14 +335,14 @@ fn run_event_loop(
         if stopping {
             // First observation of the stop flag: close the accept path,
             // stop parsing new requests everywhere, and set the hard
-            // drain deadline (in-flight decisions get request_timeout).
+            // drain deadline (in-flight decisions get REQUEST_TIMEOUT).
             if let Some(l) = listener.take() {
                 let _ = poll.deregister(&l);
                 drop(l);
                 for entry in conns.values_mut() {
                     entry.conn.begin_shutdown();
                 }
-                drain_deadline = Some(now + cfg.request_timeout + Duration::from_secs(1));
+                drain_deadline = Some(now + REQUEST_TIMEOUT + Duration::from_secs(1));
             }
         }
 
@@ -456,7 +456,6 @@ fn route_request(
     req: HttpRequest,
     registry: &ModelRegistry,
     queue: &RequestQueue,
-    cfg: &ServeConfig,
     stopping: bool,
     now: Instant,
 ) {
@@ -486,7 +485,7 @@ fn route_request(
             let (tx, rx) = reply_pair();
             let job = QueuedRequest { request: parsed, reply: tx, enqueued_at: now, trace };
             match queue.try_push(job) {
-                Ok(()) => conn.push_waiting(rx, now, now + cfg.request_timeout, root, keep),
+                Ok(()) => conn.push_waiting(rx, now, now + REQUEST_TIMEOUT, root, keep),
                 Err(_refused) => {
                     metrics::shed().inc();
                     respond_error(
@@ -585,4 +584,34 @@ fn respond_error(
         format_response(status, "application/json", extra_headers, &body, keep_alive),
         keep_alive,
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn from_env_overrides_the_serve_limits_and_ignores_bad_values() {
+        const VARS: [&str; 3] = ["PPN_SERVE_QUEUE_CAP", "PPN_SERVE_MAX_CONNS", "PPN_SERVE_IDLE_MS"];
+        std::env::set_var("PPN_SERVE_QUEUE_CAP", "64");
+        std::env::set_var("PPN_SERVE_MAX_CONNS", " 8 ");
+        std::env::set_var("PPN_SERVE_IDLE_MS", "250");
+        let set = ServeConfig::from_env();
+        std::env::set_var("PPN_SERVE_QUEUE_CAP", "lots");
+        std::env::set_var("PPN_SERVE_MAX_CONNS", "-1");
+        std::env::set_var("PPN_SERVE_IDLE_MS", "1.5");
+        let bad = ServeConfig::from_env();
+        for var in VARS {
+            std::env::remove_var(var);
+        }
+
+        assert_eq!(set.queue_cap, 64);
+        assert_eq!(set.max_conns, 8, "surrounding whitespace is trimmed");
+        assert_eq!(set.idle_timeout, Duration::from_millis(250));
+
+        let default = ServeConfig::default();
+        assert_eq!(bad.queue_cap, default.queue_cap);
+        assert_eq!(bad.max_conns, default.max_conns);
+        assert_eq!(bad.idle_timeout, default.idle_timeout);
+    }
 }

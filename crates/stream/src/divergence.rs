@@ -20,7 +20,8 @@ use ppn_market::Dataset;
 /// Divergence between two policy versions over a shadow window.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct DivergenceReport {
-    /// Worst per-bar L1 distance between the two action vectors (`[0, 2]`).
+    /// Worst per-bar L1 distance between the two action vectors (`[0, 2]`,
+    /// or `+∞` when either version emitted a non-finite action).
     pub max_l1: f64,
     /// Mean per-bar L1 distance.
     pub mean_l1: f64,
@@ -59,11 +60,23 @@ pub fn shadow_divergence(
     let mut max_l1 = 0.0_f64;
     let mut sum_l1 = 0.0_f64;
     for (wa, wb) in a.iter().zip(&b) {
-        let l1: f64 = wa.iter().zip(wb).map(|(x, y)| (x - y).abs()).sum();
+        let l1 = bar_l1(wa, wb);
         max_l1 = max_l1.max(l1);
         sum_l1 += l1;
     }
     DivergenceReport { max_l1, mean_l1: sum_l1 / inputs.len() as f64, windows: inputs.len() }
+}
+
+/// L1 distance between two action vectors, with a non-finite distance
+/// reported as `+∞` so it trips any threshold. `f64::max` drops NaN, so a
+/// NaN left in the fold would read as no divergence at all.
+fn bar_l1(a: &[f64], b: &[f64]) -> f64 {
+    let l1: f64 = a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum();
+    if l1.is_finite() {
+        l1
+    } else {
+        f64::INFINITY
+    }
 }
 
 #[cfg(test)]
@@ -100,6 +113,15 @@ mod tests {
         assert!(r.max_l1 > 0.0, "differently-initialised nets must disagree somewhere");
         assert!(r.max_l1 <= 2.0 + 1e-12, "simplex L1 distance is bounded by 2");
         assert!(r.mean_l1 > 0.0 && r.mean_l1 <= r.max_l1);
+    }
+
+    #[test]
+    fn non_finite_actions_count_as_infinite_divergence() {
+        assert_eq!(bar_l1(&[0.5, 0.5], &[0.25, 0.75]).to_bits(), 0.5_f64.to_bits());
+        assert_eq!(bar_l1(&[f64::NAN, 1.0], &[0.0, 1.0]), f64::INFINITY);
+        assert_eq!(bar_l1(&[0.0, 1.0], &[f64::INFINITY, 0.0]), f64::INFINITY);
+        // The fold keeps the infinity, so the report trips any threshold.
+        assert_eq!(0.3_f64.max(bar_l1(&[f64::NAN], &[0.0])), f64::INFINITY);
     }
 
     #[test]

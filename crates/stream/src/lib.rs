@@ -32,9 +32,13 @@
 //! duration of the shadow check, and the rolled-back-to version keeps its
 //! number so stamped responses stay attributable.
 //!
-//! Knobs (see `env_manifest.toml`): `PPN_STREAM_FEED_MS` paces the simulated
-//! feed, `PPN_STREAM_PUBLISH_EVERY` sets the bars-per-checkpoint cadence,
-//! and `PPN_STREAM_DIVERGENCE` sets the rollback threshold.
+//! A candidate with any non-finite parameter never reaches the registry:
+//! [`promote`] refuses it before publication. A non-finite action on the
+//! shadow window counts as divergence over any threshold, so such a
+//! candidate is rolled back.
+//!
+//! The knobs live in [`StreamConfig`]; callers set them in code. The online
+//! policy takes one gradient step per bar.
 
 /// Shadow comparison between two policy versions over recent bars.
 pub mod divergence;
@@ -50,20 +54,16 @@ use std::time::Duration;
 /// Pacing and promotion knobs for the streaming updater.
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
-    /// Delay between simulated bars (`PPN_STREAM_FEED_MS`; 0 = replay as
-    /// fast as the updater can train, the right setting for tests and
-    /// benches).
+    /// Delay between simulated bars (0 = replay as fast as the updater can
+    /// train, the right setting for tests and benches).
     pub feed_period: Duration,
-    /// Bars between candidate publications (`PPN_STREAM_PUBLISH_EVERY`).
+    /// Bars between candidate publications.
     pub publish_every: usize,
     /// Max allowed shadow-window action divergence (L1, in `[0, 2]`) before
-    /// a freshly-published candidate is rolled back
-    /// (`PPN_STREAM_DIVERGENCE`).
+    /// a freshly-published candidate is rolled back.
     pub divergence_threshold: f64,
     /// Recent bars the shadow comparison replays through both versions.
     pub shadow_window: usize,
-    /// Gradient steps the online policy takes per arriving bar.
-    pub steps_per_bar: usize,
 }
 
 impl Default for StreamConfig {
@@ -73,32 +73,8 @@ impl Default for StreamConfig {
             publish_every: 16,
             divergence_threshold: 0.75,
             shadow_window: 8,
-            steps_per_bar: 1,
         }
     }
-}
-
-impl StreamConfig {
-    /// Defaults with the `PPN_STREAM_*` environment overrides applied
-    /// (unparseable values fall back to the default silently — the updater
-    /// must not fail to start over a typo'd knob).
-    pub fn from_env() -> Self {
-        let mut cfg = StreamConfig::default();
-        if let Some(ms) = parse_env(std::env::var("PPN_STREAM_FEED_MS").ok()) {
-            cfg.feed_period = Duration::from_millis(ms);
-        }
-        if let Some(n) = parse_env::<usize>(std::env::var("PPN_STREAM_PUBLISH_EVERY").ok()) {
-            cfg.publish_every = n.max(1);
-        }
-        if let Some(d) = parse_env(std::env::var("PPN_STREAM_DIVERGENCE").ok()) {
-            cfg.divergence_threshold = d;
-        }
-        cfg
-    }
-}
-
-fn parse_env<T: std::str::FromStr>(raw: Option<String>) -> Option<T> {
-    raw.and_then(|s| s.trim().parse().ok())
 }
 
 /// Stream-side metric registration, one function per metric so call sites
@@ -153,17 +129,21 @@ pub enum PromotionOutcome {
         /// The version serving again after the rollback.
         restored: ModelVersion,
     },
+    /// The candidate had a non-finite parameter and was never published;
+    /// serving is unchanged.
+    Refused,
 }
 
 /// Outcome report of one [`promote`] call.
 #[derive(Debug, Clone)]
 pub struct Promotion {
-    /// Version the candidate was published as (live unless rolled back).
+    /// Version the candidate was published as (live unless rolled back);
+    /// 0 for a [`PromotionOutcome::Refused`] candidate, which gets none.
     pub candidate_version: ModelVersion,
     /// Whether the candidate survived the shadow comparison.
     pub outcome: PromotionOutcome,
     /// Shadow-window divergence vs the previously-live version (`None` on
-    /// a first publication).
+    /// a first publication or a refusal).
     pub divergence: Option<DivergenceReport>,
     /// How long the registry pointer swap (the publish call) took.
     pub swap_latency: Duration,
@@ -172,15 +152,38 @@ pub struct Promotion {
 impl Promotion {
     /// True when the candidate is still the live version.
     pub fn is_live(&self) -> bool {
-        !matches!(self.outcome, PromotionOutcome::RolledBack { .. })
+        matches!(self.outcome, PromotionOutcome::First | PromotionOutcome::Promoted)
     }
+}
+
+/// Publishes `net` under `name` unless one of its parameters is non-finite,
+/// returning the assigned version and how long the swap took. A refused
+/// network is counted in `stream.rollbacks` and never reaches the registry.
+pub(crate) fn publish_finite(
+    registry: &ModelRegistry,
+    name: &str,
+    net: ppn_core::ppn::PolicyNet,
+) -> Option<(ModelVersion, Duration)> {
+    let store = &net.store;
+    if !store.ids().all(|id| store.value(id).data().iter().all(|v| v.is_finite())) {
+        metrics::rollbacks().inc();
+        ppn_obs::obs_warn!("stream: refused a candidate of '{name}' with non-finite parameters");
+        return None;
+    }
+    let swap_start = ppn_obs::clock::now();
+    let version = registry.publish(name, net);
+    let swap_latency = swap_start.elapsed();
+    metrics::publishes().inc();
+    metrics::swap_ms().observe(swap_latency.as_secs_f64() * 1e3);
+    Some((version, swap_latency))
 }
 
 /// Publishes `candidate` under `name` and guards the swap with a shadow
 /// comparison: replay the `cfg.shadow_window` bars ending at `t_end`
 /// through both the candidate and the previously-live version, and roll
 /// back if the worst-case action divergence exceeds
-/// `cfg.divergence_threshold`.
+/// `cfg.divergence_threshold`. A candidate with a non-finite parameter is
+/// refused before publication, on a first publication too.
 ///
 /// Ordering is deliberate — publish first, compare second. The swap is
 /// zero-downtime either way (pointer store), and publishing first means the
@@ -196,11 +199,14 @@ pub fn promote(
     cfg: &StreamConfig,
 ) -> Promotion {
     let previous = registry.resolve(name);
-    let swap_start = ppn_obs::clock::now();
-    let candidate_version = registry.publish(name, candidate);
-    let swap_latency = swap_start.elapsed();
-    metrics::publishes().inc();
-    metrics::swap_ms().observe(swap_latency.as_secs_f64() * 1e3);
+    let Some((candidate_version, swap_latency)) = publish_finite(registry, name, candidate) else {
+        return Promotion {
+            candidate_version: 0,
+            outcome: PromotionOutcome::Refused,
+            divergence: None,
+            swap_latency: Duration::ZERO,
+        };
+    };
 
     let Some(previous) = previous else {
         return Promotion {
@@ -264,21 +270,45 @@ mod tests {
         PolicyNet::new(Variant::PpnLstm, cfg, &mut StdRng::seed_from_u64(seed))
     }
 
+    /// `net` with its first parameter scalar set to NaN.
+    fn nan_poisoned(mut net: PolicyNet) -> PolicyNet {
+        let id = net.store.ids().next().unwrap();
+        net.store.value_mut(id).data_mut()[0] = f64::NAN;
+        net
+    }
+
     #[test]
-    fn env_overrides_apply_and_bad_values_fall_back() {
-        std::env::set_var("PPN_STREAM_FEED_MS", "25");
-        std::env::set_var("PPN_STREAM_PUBLISH_EVERY", "0");
-        std::env::set_var("PPN_STREAM_DIVERGENCE", "not-a-number");
-        let cfg = StreamConfig::from_env();
-        std::env::remove_var("PPN_STREAM_FEED_MS");
-        std::env::remove_var("PPN_STREAM_PUBLISH_EVERY");
-        std::env::remove_var("PPN_STREAM_DIVERGENCE");
-        assert_eq!(cfg.feed_period, Duration::from_millis(25));
-        assert_eq!(cfg.publish_every, 1, "publish cadence is clamped to at least 1");
-        assert_eq!(
-            cfg.divergence_threshold.to_bits(),
-            StreamConfig::default().divergence_threshold.to_bits()
-        );
+    fn nan_candidate_is_refused_and_serving_is_unchanged() {
+        let ds = Dataset::load(Preset::CryptoA);
+        let reg = ModelRegistry::new();
+        reg.publish("m", small_net(1, ds.assets()));
+        let before = reg.resolve("m").unwrap();
+        let rollbacks = metrics::rollbacks().get();
+        let candidate = nan_poisoned(small_net(1, ds.assets()));
+        let p = promote(&reg, "m", candidate, &ds, ds.split, &StreamConfig::default());
+        assert_eq!(p.outcome, PromotionOutcome::Refused);
+        assert!(!p.is_live());
+        assert_eq!(p.candidate_version, 0);
+        assert!(p.divergence.is_none());
+        let after = reg.resolve("m").unwrap();
+        assert_eq!(after.version(), 1);
+        assert!(std::sync::Arc::ptr_eq(after.net(), before.net()));
+        // The refused candidate burned no version number.
+        assert_eq!(reg.publish("m", small_net(2, ds.assets())), 2);
+        if ppn_obs::metrics_enabled() {
+            assert!(metrics::rollbacks().get() > rollbacks);
+        }
+    }
+
+    #[test]
+    fn nan_first_publication_is_refused() {
+        let ds = Dataset::load(Preset::CryptoA);
+        let reg = ModelRegistry::new();
+        let candidate = nan_poisoned(small_net(1, ds.assets()));
+        let p = promote(&reg, "m", candidate, &ds, ds.split, &StreamConfig::default());
+        assert_eq!(p.outcome, PromotionOutcome::Refused);
+        assert!(!p.is_live());
+        assert_eq!(reg.live_version("m"), None);
     }
 
     #[test]

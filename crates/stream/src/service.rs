@@ -14,7 +14,7 @@
 //! network snapshot, shadow forward passes) all happen outside the
 //! registry's locks.
 
-use crate::{metrics, promote, PromotionOutcome, StreamConfig};
+use crate::{metrics, promote, publish_finite, PromotionOutcome, StreamConfig};
 use ppn_core::config::{RewardConfig, TrainConfig};
 use ppn_core::online::OnlineNetPolicy;
 use ppn_core::ppn::PolicyNet;
@@ -23,6 +23,9 @@ use ppn_market::{drifted_weights, Dataset, DecisionContext, LiveFeed, Sequential
 use ppn_serve::ModelRegistry;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+
+/// Gradient steps the online policy takes per arriving bar.
+const STEPS_PER_BAR: usize = 1;
 
 /// Progress counters for one updater run. Snapshot with
 /// [`StreamService::stats`] while live, or take the final report from
@@ -35,7 +38,8 @@ pub struct StreamStats {
     pub publishes: u64,
     /// Candidates that survived the shadow comparison.
     pub promoted: u64,
-    /// Candidates rolled back for exceeding the divergence threshold.
+    /// Candidates rolled back for exceeding the divergence threshold, or
+    /// refused before publication for a non-finite parameter.
     pub rolled_back: u64,
     /// Shadow-window max-L1 divergence of the most recent promotion
     /// (0 until the second publish).
@@ -68,7 +72,7 @@ impl StreamService {
     /// `pretrain.steps` offline gradient steps run on the training split
     /// before the initial version is published under `name`, after which
     /// the feed replays bars from `dataset.split` onward — deciding,
-    /// taking `cfg.steps_per_bar` online gradient steps per bar, and every
+    /// taking one online gradient step per bar, and every
     /// `cfg.publish_every` bars promoting a snapshot through the
     /// divergence gate ([`promote`]).
     ///
@@ -152,20 +156,25 @@ impl StreamWorker {
         // Pre-train on the training split, publish the initial version.
         let mut trainer = Trainer::with_net(Arc::clone(&self.dataset), net, reward, pretrain);
         trainer.train();
-        let v1 = self.registry.publish(&self.name, trainer.net.snapshot());
-        metrics::publishes().inc();
-        {
-            let mut s = self.stats.lock();
-            s.publishes = 1;
-            s.live_version = v1;
+        // No shadow check: the initial version replaces whatever the
+        // registry served before the stream started.
+        match publish_finite(&self.registry, &self.name, trainer.net.snapshot()) {
+            Some((v1, _)) => {
+                {
+                    let mut s = self.stats.lock();
+                    s.publishes = 1;
+                    s.live_version = v1;
+                }
+                ppn_obs::obs_info!(
+                    "stream: '{}' initial version v{v1} published, feeding from bar {}",
+                    self.name,
+                    self.dataset.split
+                );
+            }
+            None => self.stats.lock().rolled_back = 1,
         }
-        ppn_obs::obs_info!(
-            "stream: '{}' initial version v{v1} published, feeding from bar {}",
-            self.name,
-            self.dataset.split
-        );
 
-        let mut policy = OnlineNetPolicy::from_trainer(trainer, self.cfg.steps_per_bar);
+        let mut policy = OnlineNetPolicy::from_trainer(trainer, STEPS_PER_BAR);
         let mut feed = LiveFeed::new(Arc::clone(&self.dataset), self.dataset.split);
         let m1 = self.dataset.assets() + 1;
         let mut prev_action = vec![0.0; m1];
@@ -195,16 +204,18 @@ impl StreamWorker {
                 let promotion =
                     promote(&self.registry, &self.name, candidate, &self.dataset, bar.t, &self.cfg);
                 let mut s = self.stats.lock();
-                s.publishes += 1;
                 if let Some(report) = &promotion.divergence {
                     s.last_divergence = report.max_l1;
                 }
                 match promotion.outcome {
+                    PromotionOutcome::Refused => s.rolled_back += 1,
                     PromotionOutcome::RolledBack { restored } => {
+                        s.publishes += 1;
                         s.rolled_back += 1;
                         s.live_version = restored;
                     }
-                    _ => {
+                    PromotionOutcome::First | PromotionOutcome::Promoted => {
+                        s.publishes += 1;
                         s.promoted += 1;
                         s.live_version = promotion.candidate_version;
                     }

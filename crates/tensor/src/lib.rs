@@ -19,7 +19,7 @@
 //! * dilated **causal** and correlational **SAME** 2-D convolutions
 //!   ([`layers::Conv2dLayer`]), an [`layers::Lstm`], dense layers, dropout
 //!   and softmax,
-//! * [`Adam`]/[`Sgd`] optimisers over a persistent [`ParamStore`],
+//! * the [`Adam`] optimiser over a persistent [`ParamStore`],
 //! * a finite-difference [`gradcheck`](gradcheck::gradcheck) harness used by
 //!   the test suites to certify every backward rule,
 //! * a scoped worker pool ([`par`]) behind the `PPN_THREADS` environment
@@ -27,8 +27,8 @@
 //!   forward/backward) with bit-identical results at every thread count,
 //! * a 32-byte-aligned backing store with a thread-local buffer-reuse
 //!   arena ([`storage`]) and register-blocked AXPY kernels ([`simd`],
-//!   optional AVX2 behind the `simd` cargo feature, `PPN_SIMD=0` kill
-//!   switch) — all bit-identical to the naive scalar loops.
+//!   optional AVX2 behind the `simd` cargo feature, used whenever the CPU
+//!   has it) — all bit-identical to the naive scalar loops.
 //!
 //! ## Quickstart
 //!
@@ -63,5 +63,5 @@ pub mod storage;
 pub mod tensor;
 
 pub use graph::{Graph, NodeId};
-pub use optim::{clip_global_norm, Adam, Binding, Optimizer, ParamId, ParamStore, Sgd};
+pub use optim::{clip_global_norm, Adam, Binding, Optimizer, ParamId, ParamStore};
 pub use tensor::Tensor;

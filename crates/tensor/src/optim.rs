@@ -1,4 +1,4 @@
-//! Parameter storage and first-order optimisers.
+//! Parameter storage and the Adam optimiser.
 //!
 //! Parameters outlive the per-step tape: a [`ParamStore`] owns the weights,
 //! [`ParamStore::bind`] inserts them into a fresh [`Graph`] for one forward/
@@ -160,48 +160,6 @@ pub trait Optimizer {
     fn step(&mut self, store: &mut ParamStore, grads: &[Option<Tensor>]);
 }
 
-/// Plain stochastic gradient descent (optionally with momentum).
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f64,
-    /// Momentum coefficient; 0 disables momentum.
-    pub momentum: f64,
-    velocity: Vec<Option<Tensor>>,
-}
-
-impl Sgd {
-    /// SGD with the given learning rate and no momentum.
-    pub fn new(lr: f64) -> Self {
-        Sgd { lr, momentum: 0.0, velocity: Vec::new() }
-    }
-
-    /// SGD with momentum.
-    pub fn with_momentum(lr: f64, momentum: f64) -> Self {
-        Sgd { lr, momentum, velocity: Vec::new() }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, store: &mut ParamStore, grads: &[Option<Tensor>]) {
-        self.velocity.resize(grads.len(), None);
-        for (i, id) in store.ids().enumerate().collect::<Vec<_>>() {
-            let Some(g) = &grads[i] else { continue };
-            let update = if self.momentum > 0.0 {
-                let v = match &self.velocity[i] {
-                    Some(v) => v.scale(self.momentum).add(g),
-                    None => g.clone(),
-                };
-                self.velocity[i] = Some(v.clone());
-                v
-            } else {
-                g.clone()
-            };
-            let w = store.value_mut(id);
-            *w = w.sub(&update.scale(self.lr));
-        }
-    }
-}
-
 /// Adam (Kingma & Ba). The paper trains PPN with Adam at lr 1e−3.
 pub struct Adam {
     /// Learning rate.
@@ -269,21 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut store = ParamStore::new();
-        let w = store.add("w", Tensor::from_vec(&[3], vec![0.0, 10.0, -4.0]));
-        let mut opt = Sgd::new(0.1);
-        for _ in 0..100 {
-            let (mut g, bind, loss) = quadratic_loss(&store, w);
-            g.backward(loss);
-            opt.step(&mut store, &bind.grads(&g));
-        }
-        for &x in store.value(w).data() {
-            assert!((x - 3.0).abs() < 1e-6, "{x}");
-        }
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let mut store = ParamStore::new();
         let w = store.add("w", Tensor::from_vec(&[2], vec![-8.0, 8.0]));
@@ -296,23 +239,6 @@ mod tests {
         for &x in store.value(w).data() {
             assert!((x - 3.0).abs() < 1e-3, "{x}");
         }
-    }
-
-    #[test]
-    fn momentum_accelerates() {
-        let run = |mut opt: Sgd| {
-            let mut store = ParamStore::new();
-            let w = store.add("w", Tensor::scalar(10.0));
-            for _ in 0..30 {
-                let (mut g, bind, loss) = quadratic_loss(&store, w);
-                g.backward(loss);
-                opt.step(&mut store, &bind.grads(&g));
-            }
-            (store.value(w).item() - 3.0).abs()
-        };
-        let plain = run(Sgd::new(0.01));
-        let mom = run(Sgd::with_momentum(0.01, 0.9));
-        assert!(mom < plain, "momentum {mom} vs plain {plain}");
     }
 
     #[test]

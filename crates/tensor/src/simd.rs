@@ -10,10 +10,9 @@
 //! 32-byte-aligned buffer bases, which keeps the (unaligned-encoded) loads
 //! on cache-line-friendly addresses for the common full-row case.
 //!
-//! Runtime controls: the intrinsics engage only when the `simd` feature is
-//! compiled in, the CPU reports AVX2, and `PPN_SIMD` is not set to `0`
-//! (kill switch, read once). [`force_scalar`] scopes the scalar path for
-//! bit-identity tests.
+//! The intrinsics engage exactly when the `simd` feature is compiled in and
+//! the CPU reports AVX2 (detected once). [`force_scalar`] scopes the scalar
+//! path for bit-identity tests.
 
 #![allow(unsafe_code)] // audited: runtime-detection-gated intrinsic calls only, see no-unsafe rule
 
@@ -48,10 +47,7 @@ pub fn enabled() -> bool {
 fn simd_available() -> bool {
     use std::sync::OnceLock;
     static AVAILABLE: OnceLock<bool> = OnceLock::new();
-    *AVAILABLE.get_or_init(|| {
-        let killed = std::env::var("PPN_SIMD").is_ok_and(|v| v.trim() == "0");
-        !killed && std::arch::is_x86_feature_detected!("avx2")
-    })
+    *AVAILABLE.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
 }
 
 #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]

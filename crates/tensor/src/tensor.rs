@@ -131,12 +131,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor returning its buffer as a plain `Vec` (copies;
-    /// the aligned storage itself returns to the arena).
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data.to_vec()
-    }
-
     /// Value of a scalar tensor (or any single-element tensor).
     ///
     /// # Panics

@@ -1,6 +1,6 @@
 //! Property tests for the optimisers.
 
-use ppn_tensor::{Adam, Graph, Optimizer, ParamStore, Sgd, Tensor};
+use ppn_tensor::{Adam, Graph, Optimizer, ParamStore, Tensor};
 use proptest::prelude::*;
 
 fn quad_step(store: &mut ParamStore, opt: &mut dyn Optimizer, target: f64) -> f64 {
@@ -20,20 +20,6 @@ fn quad_step(store: &mut ParamStore, opt: &mut dyn Optimizer, target: f64) -> f6
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn sgd_strictly_decreases_convex_loss(
-        start in -10.0..10.0f64,
-        target in -5.0..5.0f64,
-    ) {
-        prop_assume!((start - target).abs() > 1e-3);
-        let mut store = ParamStore::new();
-        store.add("w", Tensor::scalar(start));
-        let mut opt = Sgd::new(0.05);
-        let l0 = quad_step(&mut store, &mut opt, target);
-        let l1 = quad_step(&mut store, &mut opt, target);
-        prop_assert!(l1 < l0, "loss rose: {l0} -> {l1}");
-    }
 
     #[test]
     fn adam_first_step_size_is_lr_bounded(
