@@ -374,5 +374,24 @@ mod tests {
         let w = ds.window(100, actor.cfg.window);
         let a = actor.act(&w, &[1.0 / 13.0; 13]);
         assert!((a.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+        // Golden pin: the exploration rollout and the per-step reward both
+        // feed these bits.
+        let bits: Vec<u64> = a.iter().map(|x| x.to_bits()).collect();
+        let expect: [u64; 13] = [
+            4588871609576749510,
+            4590280969131356136,
+            4590290928832173196,
+            4590279416742366024,
+            4590278480346466202,
+            4590321452057692944,
+            4590310221699454583,
+            4590320766289661070,
+            4590332862050186029,
+            4590292560408914827,
+            4590290614279992111,
+            4590338487943583205,
+            4590338487943583205,
+        ];
+        assert_eq!(bits, expect, "{a:?}");
     }
 }

@@ -109,3 +109,45 @@ fn gamma_extreme_suppresses_turnover_during_training() {
     let constrained = mean_to_tail(100.0);
     assert!(constrained < free, "gamma=100 mean turnover {constrained} not below gamma=0 {free}");
 }
+
+/// FNV-1a over the IEEE-754 bits of each record's `cost`, `turnover` and
+/// `wealth`, in period order: one number that moves if any of them moves.
+fn record_bits_digest(r: &ppn_repro::market::BacktestResult) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for rec in &r.records {
+        for v in [rec.cost, rec.turnover, rec.wealth] {
+            for byte in v.to_bits().to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+/// Golden pin on the rebalance accounting: the uniform CRP and a
+/// high-turnover OLMAR over Crypto-A's test split at ψ = 0.25% must
+/// reproduce these exact bits. Any reordering of the period arithmetic
+/// (cost solve, gross return, wealth update, turnover, drift) shows here.
+#[test]
+fn backtest_accounting_is_bit_pinned() {
+    let ds = Dataset::load(Preset::CryptoA);
+    let cases: [(&str, Box<dyn ppn_repro::market::Policy>, u64, u64); 2] = [
+        ("CRP", Box::new(Crp), 4605195916812916122, 9748750998112369503),
+        (
+            "OLMAR",
+            Box::new(ppn_repro::baselines::Olmar::new(10.0, 5)),
+            4559754872562787438,
+            4189654546795014742,
+        ),
+    ];
+    for (name, mut policy, apv_bits, digest) in cases {
+        let r = run_backtest(&ds, policy.as_mut(), 0.0025, test_range(&ds));
+        assert_eq!(r.records.len(), 799, "{name}");
+        assert_eq!(
+            (r.metrics.apv.to_bits(), record_bits_digest(&r)),
+            (apv_bits, digest),
+            "{name}: apv {}",
+            r.metrics.apv
+        );
+    }
+}
