@@ -11,7 +11,7 @@
 use ppn_bench::{config_at, train_and_backtest, Budget};
 use ppn_core::Variant;
 use ppn_market::{
-    cost_proportion, max_turnover, prop4_bounds, run_backtest, test_range, Dataset, Preset,
+    max_turnover, prop4_bounds, run_backtest, test_range, turnover_l1, Dataset, Ledger, Preset,
 };
 
 fn main() {
@@ -21,25 +21,23 @@ fn main() {
     let psi = 0.0025;
     let mut olmar = ppn_baselines::Olmar::new(10.0, 5); // a high-turnover policy
     let r = run_backtest(&ds, &mut olmar, psi, test_range(&ds));
+    // Replaying the recorded actions through a fresh ledger supplies
+    // `â_{t−1}` and must reproduce every record's cost and wealth exactly.
+    let mut ledger = Ledger::new(ds.assets() + 1, psi);
     let mut worst_rel: f64 = 0.0;
-    let mut prev: Vec<f64> = {
-        let mut v = vec![0.0; ds.assets() + 1];
-        v[0] = 1.0;
-        v
-    };
     let mut violations = 0usize;
     for rec in &r.records {
-        let sol = cost_proportion(psi, &rec.action, &prev, 1e-13);
-        let (lo, hi) = prop4_bounds(psi, &rec.action, &prev);
-        if sol.cost < lo - 1e-10 || sol.cost > hi + 1e-10 {
+        let (lo, hi) = prop4_bounds(psi, &rec.action, ledger.drifted());
+        if turnover_l1(&rec.action, ledger.drifted()) > max_turnover(0.0) + 1e-10 {
             violations += 1;
         }
-        let to: f64 = rec.action.iter().zip(&prev).map(|(a, h)| (a - h).abs()).sum();
-        if to > max_turnover(0.0) + 1e-10 {
+        let replay = ledger.apply(rec.t, rec.action.clone(), ds.relative(rec.t));
+        assert_eq!(replay.cost.to_bits(), rec.cost.to_bits(), "t={}: replayed cost", rec.t);
+        assert_eq!(replay.wealth.to_bits(), rec.wealth.to_bits(), "t={}: replayed wealth", rec.t);
+        if replay.cost < lo - 1e-10 || replay.cost > hi + 1e-10 {
             violations += 1;
         }
-        worst_rel = worst_rel.max((sol.cost - lo).min(hi - sol.cost).abs());
-        prev = ppn_market::drifted_weights(&rec.action, ds.relative(rec.t));
+        worst_rel = worst_rel.max((replay.cost - lo).min(hi - replay.cost).abs());
     }
     ppn_obs::obs_info!(
         "Proposition 4: {} periods checked, {} bound violations (worst margin {:.2e})",

@@ -35,7 +35,7 @@ pub struct ExpConfig {
 }
 
 /// Cached result of one run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ExpResult {
     /// The configuration that produced this result.
     pub config: ExpConfig,
@@ -51,27 +51,6 @@ pub struct ExpResult {
     pub synth_secs: f64,
     /// Wall-clock seconds spent in the backtest.
     pub backtest_secs: f64,
-}
-
-// Hand-written so cache files from before the timing split (which lack
-// `synth_secs`/`backtest_secs`) still deserialize; the derive rejects any
-// missing field. Absent timings read back as NaN, never as fake zeros.
-impl serde::Deserialize for ExpResult {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        let opt_f64 = |name: &str| match v.field(name) {
-            Ok(x) => f64::deserialize(x),
-            Err(_) => Ok(f64::NAN),
-        };
-        Ok(ExpResult {
-            config: ExpConfig::deserialize(v.field("config")?)?,
-            metrics: Metrics::deserialize(v.field("metrics")?)?,
-            wealth: Vec::<f64>::deserialize(v.field("wealth")?)?,
-            final_reward: f64::deserialize(v.field("final_reward")?)?,
-            train_secs: f64::deserialize(v.field("train_secs")?)?,
-            synth_secs: opt_f64("synth_secs")?,
-            backtest_secs: opt_f64("backtest_secs")?,
-        })
-    }
 }
 
 /// Parses a preset by its display name.
@@ -452,28 +431,18 @@ mod tests {
     }
 
     #[test]
-    fn exp_result_reads_legacy_cache_without_timing_split() {
-        // Checked-in caches predate `synth_secs`/`backtest_secs`; they must
-        // keep loading, with the absent timings reported as NaN.
+    fn exp_result_round_trips_the_timing_split() {
         let cfg = config_at(Preset::CryptoA, Variant::Ppn, Budget::Sweep);
-        let legacy = format!(
-            concat!(
-                r#"{{"config":{},"metrics":{{"apv":1.5,"sharpe_pct":2.0,"calmar":0.5,"#,
-                r#""mdd":0.1,"std_pct":0.2,"turnover":0.3}},"#,
-                r#""wealth":[1.0,1.5],"final_reward":0.01,"train_secs":3.5}}"#
-            ),
-            String::from_utf8(serde_json::to_vec(&cfg).unwrap()).unwrap()
-        );
-        let res: ExpResult = serde_json::from_slice(legacy.as_bytes()).unwrap();
-        assert_eq!(res.train_secs, 3.5);
-        assert!(res.synth_secs.is_nan());
-        assert!(res.backtest_secs.is_nan());
-        assert_eq!(res.wealth, vec![1.0, 1.5]);
-
-        // And a fresh result round-trips its timing split exactly.
         let fresh = ExpResult {
-            config: cfg,
-            metrics: res.metrics,
+            config: cfg.clone(),
+            metrics: Metrics {
+                apv: 1.5,
+                sharpe_pct: 2.0,
+                calmar: 0.5,
+                mdd: 0.1,
+                std_pct: 0.2,
+                turnover: 0.3,
+            },
             wealth: vec![1.0],
             final_reward: 0.25,
             train_secs: 1.0,
@@ -484,6 +453,18 @@ mod tests {
         let back: ExpResult = serde_json::from_slice(&bytes).unwrap();
         assert_eq!(back.synth_secs, 0.5);
         assert_eq!(back.backtest_secs, 0.25);
+
+        // A cache file without the timing split does not parse, so
+        // `train_and_backtest` treats it as a miss and retrains.
+        let legacy = format!(
+            concat!(
+                r#"{{"config":{},"metrics":{{"apv":1.5,"sharpe_pct":2.0,"calmar":0.5,"#,
+                r#""mdd":0.1,"std_pct":0.2,"turnover":0.3}},"#,
+                r#""wealth":[1.0,1.5],"final_reward":0.01,"train_secs":3.5}}"#
+            ),
+            String::from_utf8(serde_json::to_vec(&cfg).unwrap()).unwrap()
+        );
+        assert!(serde_json::from_slice::<ExpResult>(legacy.as_bytes()).is_err());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use crate::batch::WindowBatch;
 use crate::config::{NetConfig, RewardConfig};
 use crate::ppn::{PolicyNet, Variant};
-use ppn_market::{Dataset, TradingEnv};
+use ppn_market::{Dataset, Ledger};
 use ppn_tensor::layers::{Conv2dLayer, ConvKind, Dense};
 use ppn_tensor::{clip_global_norm, Adam, Binding, Graph, NodeId, Optimizer, ParamStore};
 use rand::rngs::StdRng;
@@ -278,16 +278,22 @@ impl<'a> DdpgTrainer<'a> {
     }
 
     /// Runs the DDPG loop and returns the trained actor.
+    ///
+    /// The rollout walks the training periods `k..split` through a
+    /// [`Ledger`] and wraps back to `k` with a fresh all-cash ledger when
+    /// it reaches the test split.
     pub fn train(mut self) -> PolicyNet {
         let k = self.actor.cfg.window;
         let split = self.dataset.split;
         let m1 = self.dataset.assets() + 1;
-        let mut env = TradingEnv::new(self.dataset, k, self.reward_cfg.psi, k..split);
-        let mut obs = env.reset();
+        let psi = self.reward_cfg.psi;
+        let mut t = k;
+        let mut ledger = Ledger::new(m1, psi);
+        let mut window = self.dataset.window(t, k);
         for step in 0..self.cfg.steps {
             // ε-mixed exploratory action.
             let eps = self.cfg.explore * (1.0 - step as f64 / self.cfg.steps as f64);
-            let mut action = self.actor.act(&obs.window, &obs.prev_action);
+            let mut action = self.actor.act(&window, ledger.prev_action());
             if eps > 0.0 {
                 let noise: Vec<f64> =
                     (0..m1).map(|_| -self.rng.gen_range(f64::MIN_POSITIVE..1.0f64).ln()).collect();
@@ -296,21 +302,22 @@ impl<'a> DdpgTrainer<'a> {
                     *a = (1.0 - eps) * *a + eps * n / ns;
                 }
             }
-            let prev = obs.prev_action.clone();
-            let window = obs.window.clone();
-            let out = env.step(&action);
-            if out.done {
-                obs = env.reset();
-            } else {
-                obs = env.observe();
+            let prev_action = ledger.prev_action().to_vec();
+            let rec = ledger.apply(t, action, self.dataset.relative(t));
+            t += 1;
+            if t >= split {
+                t = k;
+                ledger = Ledger::new(m1, psi);
             }
+            let next_window = self.dataset.window(t, k);
             self.buffer.push(Transition {
                 window,
-                prev_action: prev,
-                action,
-                reward: out.reward,
-                next_window: obs.window.clone(),
+                prev_action,
+                action: rec.action,
+                reward: rec.net_log_return,
+                next_window: next_window.clone(),
             });
+            window = next_window;
             if self.buffer.len() > self.cfg.buffer {
                 self.buffer.remove(0);
             }

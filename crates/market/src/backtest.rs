@@ -1,10 +1,12 @@
-//! Backtest runner shared by every strategy (classic baselines and networks).
+//! Backtest runner shared by every strategy (classic baselines and networks),
+//! and the rebalance [`Ledger`] it shares with the DDPG trainer.
 //!
 //! Time alignment: an action decided at period `t` is exposed to the price
 //! relative `x_t` describing the move from close `t` to close `t+1`. Before
 //! deciding, the agent holds the *drifted* weights `â_{t−1}` (Proposition 4's
 //! pre-rebalance allocation); rebalancing to `a_t` pays the fixed-point cost
-//! from [`crate::cost::cost_proportion`].
+//! from [`crate::cost::cost_proportion`]. [`Ledger`] carries that state from
+//! one period to the next.
 
 use crate::cost::cost_proportion;
 use crate::dataset::Dataset;
@@ -135,6 +137,80 @@ impl BacktestResult {
     }
 }
 
+/// One portfolio's rebalance accounting (§5.2.2, Proposition 4).
+///
+/// Owns the drifted holdings `â_{t−1}`, the previous action `a_{t−1}`, the
+/// cost rate ψ and the wealth. [`Ledger::apply`] is the workspace's single
+/// copy of one period's arithmetic: rebalancing from `â_{t−1}` to `a_t`
+/// pays `c_t` from [`cost_proportion`], and wealth grows by
+/// `a_tᵀx_t·(1−c_t)`.
+#[derive(Debug)]
+pub struct Ledger {
+    psi: f64,
+    drifted: Vec<f64>,
+    prev_action: Vec<f64>,
+    wealth: f64,
+}
+
+impl Ledger {
+    /// All-cash start over `m1 = m+1` coordinates at cost rate `psi`:
+    /// `a_0 = â_0 = (1, 0, …, 0)` and wealth 1.
+    pub fn new(m1: usize, psi: f64) -> Self {
+        let mut cash = vec![0.0; m1];
+        cash[0] = 1.0;
+        Ledger { psi, drifted: cash.clone(), prev_action: cash, wealth: 1.0 }
+    }
+
+    /// Current (drifted) holdings `â_{t−1}`.
+    pub fn drifted(&self) -> &[f64] {
+        &self.drifted
+    }
+
+    /// Previous action `a_{t−1}` as decided (pre-drift).
+    pub fn prev_action(&self) -> &[f64] {
+        &self.prev_action
+    }
+
+    /// Wealth after the last applied period.
+    pub fn wealth(&self) -> f64 {
+        self.wealth
+    }
+
+    /// Rebalances to `action`, exposes it to the price relatives `x` of
+    /// period `t` and returns the period's record.
+    ///
+    /// # Panics
+    /// Panics if `action` is off the simplex (see
+    /// [`crate::contracts::simplex_violation`]), in release builds too.
+    // ppn-check: contract(finite)
+    pub fn apply(&mut self, t: usize, action: Vec<f64>, x: &[f64]) -> PeriodRecord {
+        let violation = crate::contracts::simplex_violation(&action);
+        assert!(
+            violation.is_none(),
+            "off-simplex action at t={t}: {}",
+            violation.unwrap_or_default()
+        );
+        let sol = cost_proportion(self.psi, &action, &self.drifted, 1e-12);
+        let gross = portfolio_return(&action, x);
+        let net = gross * (1.0 - sol.cost);
+        crate::contracts::assert_finite(&[gross, net], "Ledger::apply period return");
+        self.wealth *= net;
+        let turnover: f64 =
+            self.drifted.iter().zip(&action).map(|(&h, &a)| (h - a * sol.omega).abs()).sum();
+        self.drifted = drifted_weights(&action, x);
+        self.prev_action.clone_from(&action);
+        PeriodRecord {
+            t,
+            action,
+            gross_return: gross,
+            cost: sol.cost,
+            net_log_return: net.ln(),
+            wealth: self.wealth,
+            turnover,
+        }
+    }
+}
+
 /// Runs `policy` over periods `range` of `dataset` at cost rate `psi`.
 ///
 /// `range` indexes into the dataset's relative vectors; for a paper-style
@@ -146,8 +222,7 @@ impl BacktestResult {
 /// single-context [`Policy::decide`] adapter (batch size 1).
 ///
 /// # Panics
-/// Panics if the policy returns a vector off the simplex by more than 1e-6.
-// ppn-check: contract(finite)
+/// Panics if the policy returns an action off the simplex ([`Ledger::apply`]).
 pub fn run_backtest(
     dataset: &Dataset,
     policy: &mut dyn Policy,
@@ -157,11 +232,7 @@ pub fn run_backtest(
     let _span = ppn_obs::span!("backtest.run");
     policy.reset();
     let name = policy.name();
-    let m1 = dataset.assets() + 1;
-    let mut prev_action = vec![0.0; m1];
-    prev_action[0] = 1.0; // a_0 = (1, 0, …, 0): all cash
-    let mut drifted = prev_action.clone();
-    let mut wealth = 1.0;
+    let mut ledger = Ledger::new(dataset.assets() + 1, psi);
     let mut peak: f64 = 1.0;
     let mut records = Vec::with_capacity(range.len());
     let periods_counter = ppn_obs::counter("backtest.periods");
@@ -170,51 +241,29 @@ pub fn run_backtest(
 
     for t in range {
         let _period = ppn_obs::span!("backtest.period");
-        let action = {
-            let ctx = DecisionContext {
-                t,
-                dataset,
-                history: &dataset.relatives[..t],
-                drifted: &drifted,
-                prev_action: &prev_action,
-            };
-            policy.decide(&ctx)
-        };
-        validate_simplex(&action, policy, t);
-
-        let sol = cost_proportion(psi, &action, &drifted, 1e-12);
-        let x = dataset.relative(t);
-        let gross = portfolio_return(&action, x);
-        let net = gross * (1.0 - sol.cost);
-        crate::contracts::assert_finite(&[gross, net], "run_backtest period return");
-        wealth *= net;
-        peak = peak.max(wealth);
-        let turnover: f64 =
-            drifted.iter().zip(&action).map(|(&h, &a)| (h - a * sol.omega).abs()).sum();
+        let action = policy.decide(&DecisionContext {
+            t,
+            dataset,
+            history: &dataset.relatives[..t],
+            drifted: ledger.drifted(),
+            prev_action: ledger.prev_action(),
+        });
+        let rec = ledger.apply(t, action, dataset.relative(t));
+        peak = peak.max(rec.wealth);
         periods_counter.inc();
-        turnover_hist.observe(turnover);
+        turnover_hist.observe(rec.turnover);
         ppn_obs::event!(
             ppn_obs::Level::Trace,
             "backtest.period",
             policy = name.as_str(),
             t = t,
-            portfolio_value = wealth,
-            gross_return = gross,
-            cost = sol.cost,
-            turnover = turnover,
-            drawdown = 1.0 - wealth / peak,
+            portfolio_value = rec.wealth,
+            gross_return = rec.gross_return,
+            cost = rec.cost,
+            turnover = rec.turnover,
+            drawdown = 1.0 - rec.wealth / peak,
         );
-        records.push(PeriodRecord {
-            t,
-            action: action.clone(),
-            gross_return: gross,
-            cost: sol.cost,
-            net_log_return: net.ln(),
-            wealth,
-            turnover,
-        });
-        drifted = drifted_weights(&action, x);
-        prev_action = action;
+        records.push(rec);
     }
 
     let logs: Vec<f64> = records.iter().map(|r| r.net_log_return).collect();
@@ -231,15 +280,6 @@ pub fn run_backtest(
         turnover = metrics.turnover,
     );
     BacktestResult { name, metrics, records }
-}
-
-fn validate_simplex(a: &[f64], policy: &dyn Policy, t: usize) {
-    let sum: f64 = a.iter().sum();
-    assert!(
-        (sum - 1.0).abs() < 1e-6 && a.iter().all(|&x| x >= -1e-9),
-        "{} returned an off-simplex action at t={t}: sum={sum}",
-        policy.name()
-    );
 }
 
 /// The paper's standard test-split range for a dataset.
@@ -396,6 +436,60 @@ mod tests {
         let r = run_backtest(&ds, p.as_mut(), 0.0025, 100..110);
         assert_eq!(r.records.len(), 10);
         assert_eq!(r.name, "COUNTING");
+    }
+
+    fn uniform(n: usize) -> Vec<f64> {
+        vec![1.0 / n as f64; n]
+    }
+
+    #[test]
+    fn ledger_starts_all_cash_and_carries_the_last_action() {
+        let ds = Dataset::load(Preset::CryptoA);
+        let n = ds.assets() + 1;
+        let mut ledger = Ledger::new(n, 0.0025);
+        let mut cash = vec![0.0; n];
+        cash[0] = 1.0;
+        assert_eq!(ledger.prev_action(), cash.as_slice());
+        assert_eq!(ledger.drifted(), cash.as_slice());
+        assert_eq!(ledger.wealth(), 1.0);
+        for t in 100..110 {
+            let rec = ledger.apply(t, uniform(n), ds.relative(t));
+            assert_eq!(rec.t, t);
+            assert_eq!(rec.wealth, ledger.wealth());
+            assert_eq!(ledger.prev_action(), uniform(n).as_slice());
+            assert_eq!(ledger.drifted(), drifted_weights(&uniform(n), ds.relative(t)).as_slice());
+        }
+    }
+
+    #[test]
+    fn cash_action_pays_nothing_and_keeps_wealth() {
+        let ds = Dataset::load(Preset::CryptoA);
+        let mut ledger = Ledger::new(ds.assets() + 1, 0.0025);
+        let mut cash = vec![0.0; ds.assets() + 1];
+        cash[0] = 1.0;
+        let rec = ledger.apply(100, cash, ds.relative(100));
+        assert!(rec.net_log_return.abs() < 1e-12);
+        assert_eq!(rec.cost, 0.0);
+        assert_eq!(rec.turnover, 0.0);
+        assert_eq!(rec.wealth, 1.0);
+    }
+
+    #[test]
+    fn net_log_returns_sum_to_log_wealth() {
+        let ds = Dataset::load(Preset::CryptoB);
+        let n = ds.assets() + 1;
+        let mut ledger = Ledger::new(n, 0.0025);
+        let log_sum: f64 =
+            (200..220).map(|t| ledger.apply(t, uniform(n), ds.relative(t)).net_log_return).sum();
+        assert!((ledger.wealth().ln() - log_sum).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic(expected = "off-simplex action at t=100")]
+    fn ledger_rejects_off_simplex_action() {
+        let ds = Dataset::load(Preset::CryptoA);
+        let mut ledger = Ledger::new(ds.assets() + 1, 0.0);
+        ledger.apply(100, vec![0.9; ds.assets() + 1], ds.relative(100));
     }
 
     #[test]

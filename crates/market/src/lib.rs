@@ -4,10 +4,11 @@
 //!
 //! Market substrate for the Rust reproduction of *"Cost-Sensitive Portfolio
 //! Selection via Deep Reinforcement Learning"*: a synthetic OHLC market
-//! generator standing in for the paper's Poloniex/Kaggle feeds, the trading
-//! MDP of §3.1, the proportional transaction-cost model of §5.2.2 with its
-//! Proposition-4 bounds, the backtest runner, and the evaluation metrics of
-//! §6.1.2 (APV, SR, CR, MDD, STD, TO).
+//! generator standing in for the paper's Poloniex/Kaggle feeds, the
+//! proportional transaction-cost model of §5.2.2 with its Proposition-4
+//! bounds, the rebalance [`Ledger`] that charges it period by period, the
+//! backtest runner, and the evaluation metrics of §6.1.2 (APV, SR, CR, MDD,
+//! STD, TO).
 //!
 //! Decisions go through the batch-first [`Policy`] trait
 //! (`decide_batch(&[DecisionContext]) -> Vec<Weights>`); simple sequential
@@ -31,7 +32,7 @@
 //! assert!(result.metrics.apv > 0.0);
 //! ```
 
-/// Backtest runner and the [`Policy`] trait it drives.
+/// Backtest runner, the rebalance [`Ledger`] and the [`Policy`] trait.
 pub mod backtest;
 /// Debug-build numerical contracts (simplex/finite invariants).
 pub mod contracts;
@@ -39,8 +40,6 @@ pub mod contracts;
 pub mod cost;
 /// Synthetic dataset presets standing in for the paper's feeds.
 pub mod dataset;
-/// The trading MDP environment of §3.1.
-pub mod env;
 /// Live-feed simulation: regime-stitched datasets and replay cursors.
 pub mod feed;
 /// Geometric-Brownian-motion close-price path generator.
@@ -55,12 +54,11 @@ pub mod relatives;
 pub mod risk;
 
 pub use backtest::{
-    run_backtest, test_range, BacktestResult, DecisionContext, PeriodRecord, Policy,
+    run_backtest, test_range, BacktestResult, DecisionContext, Ledger, PeriodRecord, Policy,
     SequentialPolicy, Weights,
 };
 pub use cost::{cost_proportion, max_turnover, prop4_bounds, turnover_l1, CostSolution};
 pub use dataset::{stats, Dataset, DatasetHandle, DatasetStats, Preset};
-pub use env::{Observation, StepOutcome, TradingEnv};
 pub use feed::{stitched_dataset, BarEvent, LiveFeed};
 pub use gbm::{generate_paths, ClosePaths, MarketConfig};
 pub use metrics::{compute as compute_metrics, max_drawdown, mean_std, Metrics};

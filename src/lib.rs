@@ -9,7 +9,7 @@
 //! users can depend on one package:
 //!
 //! * [`tensor`] — the reverse-mode autodiff engine (`ppn-tensor`);
-//! * [`market`] — synthetic markets, the trading MDP, costs and metrics
+//! * [`market`] — synthetic markets, costs, the rebalance ledger and metrics
 //!   (`ppn-market`);
 //! * [`baselines`] — the twelve classic online portfolio strategies
 //!   (`ppn-baselines`);

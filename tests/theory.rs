@@ -3,33 +3,34 @@
 
 use ppn_repro::market::{
     cost_proportion, max_turnover, prop4_bounds, run_backtest, test_range, turnover_l1, Dataset,
-    Preset,
+    Ledger, Preset,
 };
 
 /// Proposition 4 over an entire high-turnover backtest: the exact implicit
-/// cost stays inside the bracket at every period.
+/// cost stays inside the bracket at every period. Replaying the recorded
+/// actions through a fresh [`Ledger`] supplies `â_{t−1}` and must reproduce
+/// every record's cost and wealth bit for bit.
 #[test]
 fn prop4_bracket_holds_on_live_trajectory() {
     let ds = Dataset::load(Preset::CryptoB);
     let psi = 0.0025;
     let mut rmr = ppn_repro::baselines::Rmr::new(5.0, 5);
     let r = run_backtest(&ds, &mut rmr, psi, test_range(&ds));
-    let mut prev = {
-        let mut v = vec![0.0; ds.assets() + 1];
-        v[0] = 1.0;
-        v
-    };
+    let mut ledger = Ledger::new(ds.assets() + 1, psi);
     for rec in &r.records {
-        let sol = cost_proportion(psi, &rec.action, &prev, 1e-13);
-        let (lo, hi) = prop4_bounds(psi, &rec.action, &prev);
+        let prev = ledger.drifted();
+        let sol = cost_proportion(psi, &rec.action, prev, 1e-13);
+        let (lo, hi) = prop4_bounds(psi, &rec.action, prev);
         assert!(
             lo <= sol.cost + 1e-10 && sol.cost <= hi + 1e-10,
             "t={}: {lo} ≤ {} ≤ {hi} violated",
             rec.t,
             sol.cost
         );
-        assert!(turnover_l1(&rec.action, &prev) <= max_turnover(0.0) + 1e-10);
-        prev = ppn_repro::market::drifted_weights(&rec.action, ds.relative(rec.t));
+        assert!(turnover_l1(&rec.action, prev) <= max_turnover(0.0) + 1e-10);
+        let replay = ledger.apply(rec.t, rec.action.clone(), ds.relative(rec.t));
+        assert_eq!(replay.cost.to_bits(), rec.cost.to_bits(), "t={}: cost", rec.t);
+        assert_eq!(replay.wealth.to_bits(), rec.wealth.to_bits(), "t={}: wealth", rec.t);
     }
 }
 
