@@ -5,7 +5,8 @@
 //! results at every thread count. These tests compare `PPN_THREADS=1`
 //! against a 4-thread pool over randomized shapes (including empty and 1×1
 //! edges) and run the finite-difference gradcheck harness under the pooled
-//! kernels.
+//! kernels. A golden-digest test pins the conv kernels' outputs on every
+//! shipped conv shape bit for bit.
 
 use ppn_tensor::conv::{causal_padding, conv2d_backward, conv2d_forward, same_padding};
 use ppn_tensor::gradcheck::gradcheck;
@@ -160,4 +161,111 @@ fn gradcheck_passes_under_pooled_kernels() {
         )
     });
     assert!(report.max_rel_err < 1e-6, "gradcheck under pool failed: {report:?}");
+}
+
+/// One conv node of a shipped net: input shape `[c_in, h, w]` (the batch is
+/// prepended per run), kernel `[c_out, c_in, kh, kw]`, dilation, padding.
+struct NetConv {
+    name: &'static str,
+    input: [usize; 3],
+    kernel: [usize; 4],
+    dilation: (usize, usize),
+    pad: (usize, usize, usize, usize),
+}
+
+/// Every conv node of the paper-default PPN (m = 12 assets, window k = 30,
+/// d = 4 features, TCCB channels [8, 16, 16], dilations [1, 2, 4]) plus the
+/// decision conv of the small PPN-LSTM (4 assets) that `decide` serves.
+const NET_CONVS: [NetConv; 12] = [
+    net("b0.dconv1", [4, 12, 30], [8, 4, 1, 3], (1, 1), (0, 0, 2, 0)),
+    net("b0.dconv2", [8, 12, 30], [8, 8, 1, 3], (1, 1), (0, 0, 2, 0)),
+    net("b0.cconv", [8, 12, 30], [8, 8, 12, 1], (1, 1), (5, 6, 0, 0)),
+    net("b1.dconv1", [8, 12, 30], [16, 8, 1, 3], (1, 2), (0, 0, 4, 0)),
+    net("b1.dconv2", [16, 12, 30], [16, 16, 1, 3], (1, 2), (0, 0, 4, 0)),
+    net("b1.cconv", [16, 12, 30], [16, 16, 12, 1], (1, 1), (5, 6, 0, 0)),
+    net("b2.dconv1", [16, 12, 30], [16, 16, 1, 3], (1, 4), (0, 0, 8, 0)),
+    net("b2.dconv2", [16, 12, 30], [16, 16, 1, 3], (1, 4), (0, 0, 8, 0)),
+    net("b2.cconv", [16, 12, 30], [16, 16, 12, 1], (1, 1), (5, 6, 0, 0)),
+    net("conv4", [16, 12, 30], [16, 16, 1, 30], (1, 1), (0, 0, 0, 0)),
+    net("decision", [33, 13, 1], [1, 33, 1, 1], (1, 1), (0, 0, 0, 0)),
+    net("lstm.decision", [5, 5, 1], [1, 5, 1, 1], (1, 1), (0, 0, 0, 0)),
+];
+
+const fn net(
+    name: &'static str,
+    input: [usize; 3],
+    kernel: [usize; 4],
+    dilation: (usize, usize),
+    pad: (usize, usize, usize, usize),
+) -> NetConv {
+    NetConv { name, input, kernel, dilation, pad }
+}
+
+/// FNV-1a-style fold over the IEEE-754 bit patterns of a tensor's elements.
+fn digest(t: &Tensor) -> u64 {
+    t.data()
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, v| (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// `[forward, grad_x, grad_w]` digests of one net conv at batch `b` on
+/// seeded inputs. Inputs are ReLU-clamped like every conv input in the net
+/// past the first, and one kernel weight is exactly zero so the zero-weight
+/// skip is pinned too.
+fn net_conv_digests(c: &NetConv, b: usize, seed: u64) -> [u64; 3] {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let [cin, h, w] = c.input;
+    let mut x = Tensor::randn(&mut rng, &[b, cin, h, w], 1.0);
+    x.data_mut().iter_mut().step_by(3).for_each(|v| *v = v.max(0.0));
+    let mut kern = Tensor::randn(&mut rng, &c.kernel, 0.5);
+    let zero_at = kern.len() / 3;
+    kern.data_mut()[zero_at] = 0.0;
+    let y = conv2d_forward(&x, &kern, c.dilation, c.pad);
+    let gout = Tensor::randn(&mut rng, y.shape(), 1.0);
+    let (gx, gw) = conv2d_backward(&x, &kern, &gout, c.dilation, c.pad);
+    [digest(&y), digest(&gx), digest(&gw)]
+}
+
+/// Golden outputs of the conv kernels on every shipped conv shape, pinned
+/// bit for bit: any kernel rewrite must keep each element's accumulation
+/// order, so these digests must never change.
+#[test]
+fn net_conv_shapes_match_golden_digests() {
+    const GOLDEN: [(&str, usize, [u64; 3]); 24] = [
+        ("b0.dconv1", 16, [0x2c3783e1135e667b, 0x7d8e6f9c7bdb3581, 0xf286d8754975237]),
+        ("b0.dconv1", 1, [0x860e60c970aaaa32, 0xdf492c200b221d00, 0x43a64f988668c613]),
+        ("b0.dconv2", 16, [0x869ff8467e3fd3af, 0x1c27c0e65247b538, 0x1a41a7100e4f2f03]),
+        ("b0.dconv2", 1, [0x45c1e7f4a56b7119, 0x307900f5cd938554, 0xef21f7c38381a066]),
+        ("b0.cconv", 16, [0x75d9e704be68396e, 0x271db89aa7c293ee, 0xe3871cb562ec6a31]),
+        ("b0.cconv", 1, [0xd0e9f2652836c213, 0x748504793daef83, 0xb2611d015e790277]),
+        ("b1.dconv1", 16, [0x1a2a046788d1026c, 0xd52f6f4faeef1596, 0x78741e4dbad18578]),
+        ("b1.dconv1", 1, [0x3b3e38fa352363f9, 0x992c3d89cb2cb07a, 0x95b4091c854041ec]),
+        ("b1.dconv2", 16, [0x5d32dfd11b76e1b1, 0x526278110406ed93, 0x3d968db75f95951c]),
+        ("b1.dconv2", 1, [0xd7680c5dd17860c1, 0x19992c4433a9a945, 0xf587822242b6b507]),
+        ("b1.cconv", 16, [0x89eae87a85932956, 0x9e182b68f84babd, 0x382698029f49a76]),
+        ("b1.cconv", 1, [0x99b56b536ad81e76, 0xcbbd9dfe695a94fa, 0xe412f2baba045cad]),
+        ("b2.dconv1", 16, [0xeaef07884cf5319e, 0xb9bf7a795c8c5594, 0x2376ce792aa7e48f]),
+        ("b2.dconv1", 1, [0x67c6afe5f3b3af38, 0x1ba7aaf788f230c1, 0x1b59daed758bdf8d]),
+        ("b2.dconv2", 16, [0xf80b97322b7d14af, 0x1241da01e2641ccc, 0x774806d12977588a]),
+        ("b2.dconv2", 1, [0xdf976bf0294d0b1e, 0x2144ad755fc36780, 0x9aa5f3211379f56f]),
+        ("b2.cconv", 16, [0x1565e029103bdf7, 0xcffcdd0bf898e1f8, 0x1e17364c704d03b3]),
+        ("b2.cconv", 1, [0x19bd485996b12017, 0xaf064f48f89de64c, 0x8a7640bbd8fd1d1]),
+        ("conv4", 16, [0x49dbc7b70ebcf134, 0x7499b4f6849e3cda, 0x3de79d0ddf29e1b7]),
+        ("conv4", 1, [0x45ed3308ee186d48, 0xc3d786291431f98f, 0x142d7038e771f5b5]),
+        ("decision", 16, [0x11aa439baaf38381, 0xdebc3d18e21c5dc9, 0xae1cf2b4bee22b6]),
+        ("decision", 1, [0xf72d7f881dbb9049, 0xddcff6dcbf0ce77b, 0xddac7c3d2f4b87b9]),
+        ("lstm.decision", 16, [0x93861ff4440e795f, 0xa59a98319f9077ab, 0x1a26f8dc723a3ad]),
+        ("lstm.decision", 1, [0x9b0d7b6f2e8fb286, 0xa0e00d92adab6b65, 0xbdafdb00517df447]),
+    ];
+    for t in [1usize, 4] {
+        let got: Vec<_> = with_threads(t, || {
+            let cases = NET_CONVS.iter().enumerate();
+            cases
+                .flat_map(|(i, c)| {
+                    [16, 1].map(|b| (c.name, b, net_conv_digests(c, b, 1000 + i as u64)))
+                })
+                .collect()
+        });
+        assert_eq!(got.as_slice(), GOLDEN.as_slice(), "conv outputs changed at {t} threads");
+    }
 }
