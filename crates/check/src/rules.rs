@@ -751,7 +751,19 @@ fn check_no_unsafe(file: &SourceFile) -> Vec<Diagnostic> {
 /// (`shape::with_dims`) instead.
 const HOT_ALLOC_FILES: [(&str, &[&str]); 3] = [
     ("crates/tensor/src/graph.rs", &["backward_with", "propagate", "accumulate"]),
-    ("crates/tensor/src/conv.rs", &["forward_plane", "grad_x_sample", "grad_w_plane"]),
+    (
+        "crates/tensor/src/conv.rs",
+        &[
+            "forward_rows",
+            "forward_col",
+            "tap_axpy",
+            "grad_x_rows",
+            "grad_x_col",
+            "grad_w_rows",
+            "grad_w_col",
+            "dot4",
+        ],
+    ),
     ("crates/tensor/src/tensor.rs", &["matmul_rows"]),
 ];
 

@@ -47,6 +47,11 @@ pub fn causal_padding(kernel: usize, dilation: usize) -> (usize, usize) {
     (dilation * (kernel - 1), 0)
 }
 
+/// Channels every kernel advances together: one loaded input (or upstream
+/// gradient) run feeds four rows through [`crate::simd::Dispatch::axpy4`],
+/// and grad-w keeps four independent accumulators in flight.
+const LANES: usize = 4;
+
 /// Shared geometry for one conv call, precomputed once and read by every
 /// worker.
 #[derive(Clone, Copy)]
@@ -67,6 +72,55 @@ struct ConvDims {
 }
 
 impl ConvDims {
+    /// Geometry of convolving `x` (NCHW) with `w` (OIHW).
+    ///
+    /// # Panics
+    /// Panics on rank/channel mismatches or when the kernel does not fit.
+    fn new(x: &Tensor, w: &Tensor, dilation: Dilation, pad: Padding) -> ConvDims {
+        assert_eq!(x.rank(), 4, "conv input must be NCHW, got {:?}", x.shape());
+        assert_eq!(w.rank(), 4, "conv kernel must be OIHW, got {:?}", w.shape());
+        let (b, cin, h, wid) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
+        let (cout, cin2, kh, kw) = (w.shape()[0], w.shape()[1], w.shape()[2], w.shape()[3]);
+        assert_eq!(cin, cin2, "conv channels: input {cin} vs kernel {cin2}");
+        let (dh, dw) = dilation;
+        let (pt, pb, pl, pr) = pad;
+        let oh = out_dim(h, kh, dh, pt, pb).unwrap_or_else(|| {
+            // ppn-check: allow(no-panic) documented precondition — see `# Panics` above
+            panic!("kernel {kh}x{kw} (dil {dh},{dw}) too large for H={h} pad=({pt},{pb})")
+        });
+        let ow = out_dim(wid, kw, dw, pl, pr).unwrap_or_else(|| {
+            // ppn-check: allow(no-panic) documented precondition — see `# Panics` above
+            panic!("kernel {kh}x{kw} (dil {dh},{dw}) too large for W={wid} pad=({pl},{pr})")
+        });
+        ConvDims { b, cin, h, wid, cout, kh, kw, dh, dw, pt, pl, oh, ow }
+    }
+
+    /// Geometry for a backward pass, which also checks that `grad_out` has
+    /// the forward output's shape.
+    ///
+    /// # Panics
+    /// Panics like [`ConvDims::new`], or when `grad_out` is not
+    /// `(B, C_out, H', W')`.
+    fn for_backward(
+        x: &Tensor,
+        w: &Tensor,
+        grad_out: &Tensor,
+        dilation: Dilation,
+        pad: Padding,
+    ) -> ConvDims {
+        let d = ConvDims::new(x, w, dilation, pad);
+        assert_eq!(
+            grad_out.shape(),
+            &d.out_shape(),
+            "conv grad_out shape {:?} does not match the output shape",
+            grad_out.shape()
+        );
+        d
+    }
+
+    fn out_shape(&self) -> [usize; 4] {
+        [self.b, self.cout, self.oh, self.ow]
+    }
     fn x_stride_c(&self) -> usize {
         self.h * self.wid
     }
@@ -114,199 +168,438 @@ impl ConvDims {
         let ix_lo = (ox_lo as isize + ix_off) as usize;
         Some((ox_lo, ox_hi - ox_lo, ix_lo))
     }
+    /// The contiguous runs tap `(ky, kx)` pairs up, in ascending output
+    /// row order, as `(input offset, output offset, length)` within one
+    /// input and one output plane. A run is one output row's valid span;
+    /// when it covers whole rows of both planes (`n == ow == W`, every
+    /// CCONV tap and the unshifted DCONV tap) the rows are back to back in
+    /// both, so they merge into a single run.
+    fn tap_runs(
+        &self,
+        ky: usize,
+        kx: usize,
+    ) -> impl Iterator<Item = (usize, usize, usize)> + Clone {
+        let (iy_off, oy_lo, oy_hi) = self.y_bounds(ky);
+        let (rows, x0, o0, n) = match self.x_bounds(kx) {
+            Some((ox_lo, n, ix_lo)) if oy_lo < oy_hi => {
+                let iy_lo = (oy_lo as isize + iy_off) as usize;
+                (oy_hi - oy_lo, iy_lo * self.wid + ix_lo, oy_lo * self.ow + ox_lo, n)
+            }
+            _ => (0, 0, 0, 0),
+        };
+        let (count, len) =
+            if n == self.ow && n == self.wid { (rows.min(1), rows * n) } else { (rows, n) };
+        let (x_step, o_step) = (self.wid, self.ow);
+        (0..count).map(move |r| (x0 + r * x_step, o0 + r * o_step, len))
+    }
+    /// Kernel columns whose taps see valid input when the output is one
+    /// column wide (`ow == 1`); they are contiguous because the input
+    /// column `kx·dw − pl` grows with `kx`.
+    fn col_taps(&self) -> std::ops::Range<usize> {
+        let lo = (0..self.kw).find(|&kx| self.x_bounds(kx).is_some()).unwrap_or(self.kw);
+        let hi = (lo..self.kw).find(|&kx| self.x_bounds(kx).is_none()).unwrap_or(self.kw);
+        lo..hi
+    }
+    /// Input column of kernel column `kx` for the single output column.
+    fn col_x(&self, kx: usize) -> usize {
+        kx * self.dw - self.pl
+    }
+    /// Input row seen by output row `oy` through kernel row `ky`, if any.
+    fn row_y(&self, oy: usize, ky: usize) -> Option<usize> {
+        (oy + ky * self.dh).checked_sub(self.pt).filter(|&iy| iy < self.h)
+    }
 }
 
 /// Forward convolution. Returns `(B, C_out, H', W')`.
 ///
-/// Parallelised over `(batch, C_out)` output planes via [`crate::par`]:
-/// each plane is written by exactly one worker with the same tap-major
-/// accumulation order as the serial loop, so results are bit-identical at
-/// every thread count.
+/// Each output element accumulates its taps in `ic, ky, kx` order from
+/// zero, skipping taps whose weight is exactly zero. The kernel advances
+/// four output channels of one sample together and is parallelised over
+/// such blocks via [`crate::par`]; every element keeps that order, so
+/// results are bit-identical at every thread count and with or without
+/// the `simd` feature.
 ///
 /// # Panics
 /// Panics on rank/channel mismatches or when the kernel does not fit.
 pub fn conv2d_forward(x: &Tensor, w: &Tensor, dilation: Dilation, pad: Padding) -> Tensor {
-    assert_eq!(x.rank(), 4, "conv input must be NCHW, got {:?}", x.shape());
-    assert_eq!(w.rank(), 4, "conv kernel must be OIHW, got {:?}", w.shape());
-    let (b, cin, h, wid) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-    let (cout, cin2, kh, kw) = (w.shape()[0], w.shape()[1], w.shape()[2], w.shape()[3]);
-    assert_eq!(cin, cin2, "conv channels: input {cin} vs kernel {cin2}");
-    let (dh, dw) = dilation;
-    let (pt, pb, pl, pr) = pad;
-    let oh = out_dim(h, kh, dh, pt, pb).unwrap_or_else(|| {
-        // ppn-check: allow(no-panic) documented precondition — see `# Panics` above
-        panic!("kernel {kh}x{kw} (dil {dh},{dw}) too large for H={h} pad=({pt},{pb})")
-    });
-    let ow = out_dim(wid, kw, dw, pl, pr).unwrap_or_else(|| {
-        // ppn-check: allow(no-panic) documented precondition — see `# Panics` above
-        panic!("kernel {kh}x{kw} (dil {dh},{dw}) too large for W={wid} pad=({pl},{pr})")
-    });
-    let dims = ConvDims { b, cin, h, wid, cout, kh, kw, dh, dw, pt, pl, oh, ow };
-
+    let d = ConvDims::new(x, w, dilation, pad);
     let timer = crate::tensor::kernel_timer();
-    let xd = x.data();
-    let wd = w.data();
-    let mut out = Storage::zeroed(b * cout * oh * ow);
-    let chunk = plane_chunk(dims.o_stride_c(), b * cout, dims.flops());
+    let (xd, wd) = (x.data(), w.data());
+    let plane = d.o_stride_c();
+    let mut out = Storage::zeroed(d.b * d.o_stride_b());
+    let chunk = chunk_len(out.len(), LANES * plane, d.flops());
     crate::par::par_chunks_mut(&mut out, chunk, |ci, block| {
-        let planes_per_chunk = chunk / dims.o_stride_c().max(1);
-        for (pi, plane) in block.chunks_mut(dims.o_stride_c().max(1)).enumerate() {
-            let p = ci * planes_per_chunk + pi;
-            forward_plane(&dims, xd, wd, p / cout, p % cout, plane);
-        }
+        for_channel_blocks(block, plane, ci * chunk / plane, d.cout, |bi, oc0, planes| {
+            if d.ow == 1 {
+                forward_col(&d, xd, wd, bi, oc0, planes);
+            } else {
+                forward_rows(&d, xd, wd, bi, oc0, planes);
+            }
+        });
     });
+    crate::tensor::observe_kernel_ms("tensor.conv_fwd_ms", timer);
     crate::tensor::observe_kernel_ms("tensor.conv_ms", timer);
-    Tensor::from_storage(&[b, cout, oh, ow], out)
+    Tensor::from_storage(&d.out_shape(), out)
 }
 
-/// Elements per pool chunk when splitting a buffer of `planes` planes of
-/// `plane_len` elements: everything in one chunk when the kernel is too
-/// small to parallelise, otherwise one plane per chunk.
-fn plane_chunk(plane_len: usize, planes: usize, flops: usize) -> usize {
-    let total = plane_len.saturating_mul(planes);
+/// Elements per pool chunk for a `total`-element output: everything in one
+/// chunk when the kernel is too small to parallelise, otherwise one `unit`
+/// (a whole block of channel planes) per chunk.
+fn chunk_len(total: usize, unit: usize, flops: usize) -> usize {
     if crate::par::threads() <= 1 || flops < crate::tensor::PAR_MIN_FLOPS {
         total.max(1)
     } else {
-        plane_len.max(1)
+        unit.max(1)
     }
 }
 
-/// One `(bi, oc)` output plane of the forward pass. Tap-major loops with
-/// hoisted padding bounds: the innermost loop is a contiguous branch-free
-/// AXPY over the output row.
-fn forward_plane(d: &ConvDims, xd: &[f64], wd: &[f64], bi: usize, oc: usize, plane: &mut [f64]) {
-    // One dispatch decision per plane, not per ~30-element row.
+/// Walks `buf` — the planes `first..` of a `(B, C)` grid of `plane`-element
+/// planes — in blocks of at most [`LANES`] channels of one sample, calling
+/// `f(sample, first_channel, block)`.
+fn for_channel_blocks(
+    buf: &mut [f64],
+    plane: usize,
+    first: usize,
+    channels: usize,
+    mut f: impl FnMut(usize, usize, &mut [f64]),
+) {
+    let mut p = first;
+    let mut rest = buf;
+    while !rest.is_empty() {
+        let (bi, c0) = (p / channels, p % channels);
+        let n = LANES.min(channels - c0).min(rest.len() / plane);
+        let (block, tail) = std::mem::take(&mut rest).split_at_mut(n * plane);
+        f(bi, c0, block);
+        rest = tail;
+        p += n;
+    }
+}
+
+/// Splits a block of up to [`LANES`] consecutive `len`-element planes into
+/// one slice per lane; missing lanes are empty.
+fn lanes_mut(block: &mut [f64], len: usize) -> [&mut [f64]; LANES] {
+    let mut it = block.chunks_mut(len.max(1));
+    std::array::from_fn(|_| it.next().unwrap_or_default())
+}
+
+/// Output planes `oc0..oc0 + nb` of sample `bi`, stored back to back in
+/// `planes`. Tap-major: each tap's input runs feed all `nb` planes at once
+/// through `axpy4`. A tap whose block holds an exact-zero weight falls back
+/// to one `axpy` per nonzero channel, so the zero skip stays per channel.
+fn forward_rows(d: &ConvDims, xd: &[f64], wd: &[f64], bi: usize, oc0: usize, planes: &mut [f64]) {
+    // One dispatch decision per block, not per row.
     let simd = crate::simd::Dispatch::capture();
+    let nb = planes.len() / d.o_stride_c();
+    let mut out = lanes_mut(planes, d.o_stride_c());
+    let xs = &xd[bi * d.x_stride_b()..][..d.x_stride_b()];
     for ic in 0..d.cin {
-        let x_block = bi * d.x_stride_b() + ic * d.x_stride_c();
-        let w_block = oc * d.w_stride_o() + ic * d.w_stride_c();
+        let x_plane = &xs[ic * d.x_stride_c()..][..d.x_stride_c()];
         for ky in 0..d.kh {
-            let (iy_off, oy_lo, oy_hi) = d.y_bounds(ky);
             for kx in 0..d.kw {
-                let wv = wd[w_block + ky * d.kw + kx];
-                if crate::approx::is_zero(wv) {
-                    continue;
-                }
-                let Some((ox_lo, n, ix_lo)) = d.x_bounds(kx) else { continue };
-                for oy in oy_lo..oy_hi {
-                    let iy = (oy as isize + iy_off) as usize;
-                    let xs = &xd[x_block + iy * d.wid + ix_lo..][..n];
-                    let os = &mut plane[oy * d.ow + ox_lo..][..n];
-                    simd.axpy(os, xs, wv);
-                }
+                let tap = oc0 * d.w_stride_o() + ic * d.w_stride_c() + ky * d.kw + kx;
+                let wv = lane_weights(wd, tap, d.w_stride_o(), nb);
+                let live = wv.map(|v| !crate::approx::is_zero(v));
+                tap_axpy(simd, &mut out, x_plane, wv, live, d.tap_runs(ky, kx));
             }
         }
     }
 }
 
-/// Backward pass: returns `(grad_x, grad_w)` given the upstream gradient
-/// `grad_out` of shape `(B, C_out, H', W')`.
+/// The weights of `nb` channels at one tap (`at`, `at + stride`, …);
+/// missing lanes read zero.
+fn lane_weights(wd: &[f64], at: usize, stride: usize, nb: usize) -> [f64; LANES] {
+    std::array::from_fn(|r| if r < nb { wd[at + r * stride] } else { 0.0 })
+}
+
+/// Adds one tap into up to four lanes: `dst[r][di..][..n] += a[r] ·
+/// src[si..][..n]` for every run `(si, di, n)`. With all four lanes live
+/// each run is one `axpy4`; otherwise each live lane gets its own `axpy`s
+/// and the rest (a missing channel, or forward's exact-zero weight) are
+/// skipped.
+fn tap_axpy(
+    simd: crate::simd::Dispatch,
+    dst: &mut [&mut [f64]; LANES],
+    src: &[f64],
+    a: [f64; LANES],
+    live: [bool; LANES],
+    runs: impl Iterator<Item = (usize, usize, usize)> + Clone,
+) {
+    if live == [true; LANES] {
+        let [d0, d1, d2, d3] = dst;
+        for (si, di, n) in runs {
+            let rows =
+                [&mut d0[di..][..n], &mut d1[di..][..n], &mut d2[di..][..n], &mut d3[di..][..n]];
+            simd.axpy4(rows, &src[si..][..n], a);
+        }
+    } else {
+        for ((row, a), _) in dst.iter_mut().zip(a).zip(live).filter(|(_, l)| *l) {
+            for (si, di, n) in runs.clone() {
+                simd.axpy(&mut row[di..][..n], &src[si..][..n], a);
+            }
+        }
+    }
+}
+
+/// [`forward_rows`] for one-column outputs (`ow == 1`: `Conv4` and the
+/// decision conv), where every run is one element long. Each output element
+/// is a dot product over `(ic, ky, kx)`, computed for four channels at once.
+fn forward_col(d: &ConvDims, xd: &[f64], wd: &[f64], bi: usize, oc0: usize, planes: &mut [f64]) {
+    let taps = d.col_taps();
+    if taps.is_empty() {
+        return;
+    }
+    let nb = planes.len() / d.oh;
+    // A partial block recomputes its last channel in the missing lanes and
+    // stores only the `nb` real ones.
+    let w_rows: [&[f64]; LANES] =
+        std::array::from_fn(|r| &wd[(oc0 + r.min(nb - 1)) * d.w_stride_o()..][..d.w_stride_o()]);
+    let xs = &xd[bi * d.x_stride_b()..][..d.x_stride_b()];
+    for oy in 0..d.oh {
+        let mut acc = [0.0; LANES];
+        for ic in 0..d.cin {
+            for ky in 0..d.kh {
+                let Some(iy) = d.row_y(oy, ky) else { continue };
+                let x_row = &xs[ic * d.x_stride_c() + iy * d.wid..][..d.wid];
+                let x_taps = x_row[d.col_x(taps.start)..].iter().step_by(d.dw);
+                let w_taps = w_rows.map(|w| &w[ic * d.w_stride_c() + ky * d.kw..][taps.clone()]);
+                for (j, &xv) in x_taps.take(taps.len()).enumerate() {
+                    for (a, w) in acc.iter_mut().zip(&w_taps) {
+                        if !crate::approx::is_zero(w[j]) {
+                            *a += w[j] * xv;
+                        }
+                    }
+                }
+            }
+        }
+        for (r, &a) in acc.iter().enumerate().take(nb) {
+            planes[r * d.oh + oy] = a;
+        }
+    }
+}
+
+/// Input gradient of [`conv2d_forward`]: returns `grad_x` of `x`'s shape
+/// given the upstream gradient `grad_out` of shape `(B, C_out, H', W')`.
 ///
-/// Split into two pool-dispatched kernels with disjoint outputs: `grad_x`
-/// parallel over batch samples and `grad_w` parallel over `C_out` kernel
-/// planes. Each keeps the per-element accumulation order of the original
-/// fused serial loop (`oc,ic,ky,kx,oy` for `grad_x`; ascending-`bi` tap
-/// sums for `grad_w`), so both gradients are bit-identical across thread
-/// counts.
-pub fn conv2d_backward(
+/// Each element accumulates from zero in `oc, ky, kx` order (one term per
+/// tap that reads it). The kernel advances four input channels of one
+/// sample together and is parallelised over samples, so results are
+/// bit-identical at every thread count.
+///
+/// # Panics
+/// Panics like [`conv2d_forward`], and when `grad_out` does not have the
+/// forward output's shape.
+pub fn conv2d_grad_x(
     x: &Tensor,
     w: &Tensor,
     grad_out: &Tensor,
     dilation: Dilation,
     pad: Padding,
-) -> (Tensor, Tensor) {
-    let (b, cin, h, wid) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-    let (cout, _, kh, kw) = (w.shape()[0], w.shape()[1], w.shape()[2], w.shape()[3]);
-    let (dh, dw) = dilation;
-    let (pt, _, pl, _) = pad;
-    let (oh, ow) = (grad_out.shape()[2], grad_out.shape()[3]);
-    let dims = ConvDims { b, cin, h, wid, cout, kh, kw, dh, dw, pt, pl, oh, ow };
-
+) -> Tensor {
+    let d = ConvDims::for_backward(x, w, grad_out, dilation, pad);
     let timer = crate::tensor::kernel_timer();
-    let xd = x.data();
-    let wd = w.data();
-    let gd = grad_out.data();
-    let mut gx = Storage::zeroed(xd.len());
-    let mut gw = Storage::zeroed(wd.len());
-
-    let gx_chunk = plane_chunk(dims.x_stride_b(), b, dims.flops());
-    crate::par::par_chunks_mut(&mut gx, gx_chunk, |ci, block| {
-        let per_chunk = gx_chunk / dims.x_stride_b().max(1);
-        for (pi, sample) in block.chunks_mut(dims.x_stride_b().max(1)).enumerate() {
-            grad_x_sample(&dims, wd, gd, ci * per_chunk + pi, sample);
+    let (wd, gd) = (w.data(), grad_out.data());
+    let sample = d.x_stride_b();
+    let mut gx = Storage::zeroed(x.len());
+    let chunk = chunk_len(gx.len(), sample, d.flops());
+    crate::par::par_chunks_mut(&mut gx, chunk, |ci, block| {
+        for (si, gx_sample) in block.chunks_mut(sample.max(1)).enumerate() {
+            let bi = ci * chunk / sample.max(1) + si;
+            if d.ow == 1 {
+                grad_x_col(&d, wd, gd, bi, gx_sample);
+            } else {
+                grad_x_rows(&d, wd, gd, bi, gx_sample);
+            }
         }
     });
-
-    let gw_chunk = plane_chunk(dims.w_stride_o(), cout, dims.flops());
-    crate::par::par_chunks_mut(&mut gw, gw_chunk, |ci, block| {
-        let per_chunk = gw_chunk / dims.w_stride_o().max(1);
-        for (pi, plane) in block.chunks_mut(dims.w_stride_o().max(1)).enumerate() {
-            grad_w_plane(&dims, xd, gd, ci * per_chunk + pi, plane);
-        }
-    });
-    crate::tensor::observe_kernel_ms("tensor.conv_ms", timer);
-    (Tensor::from_storage(x.shape(), gx), Tensor::from_storage(w.shape(), gw))
+    crate::tensor::observe_kernel_ms("tensor.conv_grad_x_ms", timer);
+    Tensor::from_storage(x.shape(), gx)
 }
 
-/// Input gradient for one batch sample `bi`; `gx_sample` is that sample's
-/// `(C_in, H, W)` slice of `grad_x`. Loop order matches the fused serial
-/// backward (`oc, ic, ky, kx, oy`) so every `grad_x` element accumulates in
-/// the serial sequence.
-fn grad_x_sample(d: &ConvDims, wd: &[f64], gd: &[f64], bi: usize, gx_sample: &mut [f64]) {
-    // One dispatch decision per sample, not per ~30-element row.
+/// Input gradient of sample `bi` (`gx_sample` is its `(C_in, H, W)` slice):
+/// for each `oc`, blocks of four input channels share every `grad_out` run
+/// through `axpy4`.
+fn grad_x_rows(d: &ConvDims, wd: &[f64], gd: &[f64], bi: usize, gx_sample: &mut [f64]) {
+    // One dispatch decision per sample, not per row.
     let simd = crate::simd::Dispatch::capture();
+    let gs = &gd[bi * d.o_stride_b()..][..d.o_stride_b()];
+    let block_len = (LANES * d.x_stride_c()).max(1);
     for oc in 0..d.cout {
-        let g_block = bi * d.o_stride_b() + oc * d.o_stride_c();
-        for ic in 0..d.cin {
-            let x_block = ic * d.x_stride_c();
-            let w_block = oc * d.w_stride_o() + ic * d.w_stride_c();
+        let g_plane = &gs[oc * d.o_stride_c()..][..d.o_stride_c()];
+        for (blk, block) in gx_sample.chunks_mut(block_len).enumerate() {
+            let nb = block.len() / d.x_stride_c();
+            let live = std::array::from_fn(|r| r < nb);
+            let mut gx = lanes_mut(block, d.x_stride_c());
             for ky in 0..d.kh {
-                let (iy_off, oy_lo, oy_hi) = d.y_bounds(ky);
                 for kx in 0..d.kw {
-                    let wv = wd[w_block + ky * d.kw + kx];
-                    let Some((ox_lo, n, ix_lo)) = d.x_bounds(kx) else { continue };
-                    for oy in oy_lo..oy_hi {
-                        let iy = (oy as isize + iy_off) as usize;
-                        let grow = &gd[g_block + oy * d.ow + ox_lo..][..n];
-                        let gxrow = &mut gx_sample[x_block + iy * d.wid + ix_lo..][..n];
-                        // g * wv == wv * g bitwise, so the AXPY form is
-                        // identical to the original `*gxv += g * wv` loop.
-                        simd.axpy(gxrow, grow, wv);
-                    }
+                    let tap = oc * d.w_stride_o() + blk * LANES * d.w_stride_c() + ky * d.kw + kx;
+                    let wv = lane_weights(wd, tap, d.w_stride_c(), nb);
+                    let runs = d.tap_runs(ky, kx).map(|(xo, oo, n)| (oo, xo, n));
+                    tap_axpy(simd, &mut gx, g_plane, wv, live, runs);
                 }
             }
         }
     }
 }
 
-/// Kernel gradient for one output channel `oc`; `gw_plane` is that
-/// channel's `(C_in, KH, KW)` slice of `grad_w`. Each tap's window sum is
-/// accumulated in the serial `(oy, ox)` order and added per batch sample in
-/// ascending `bi`, matching the fused serial backward exactly.
-fn grad_w_plane(d: &ConvDims, xd: &[f64], gd: &[f64], oc: usize, gw_plane: &mut [f64]) {
-    for bi in 0..d.b {
-        let g_block = bi * d.o_stride_b() + oc * d.o_stride_c();
+/// [`grad_x_rows`] for one-column outputs (`ow == 1`): each upstream
+/// gradient element scales a whole kernel row into the input row it read,
+/// one `axpy` per `(oc, ic, ky, oy)`. `g·w == w·g` bitwise, so this is the
+/// same per-element arithmetic in the same `oc, ky, kx` order.
+fn grad_x_col(d: &ConvDims, wd: &[f64], gd: &[f64], bi: usize, gx_sample: &mut [f64]) {
+    let simd = crate::simd::Dispatch::capture();
+    let taps = d.col_taps();
+    if taps.is_empty() {
+        return;
+    }
+    let gs = &gd[bi * d.o_stride_b()..][..d.o_stride_b()];
+    for oc in 0..d.cout {
+        let g_col = &gs[oc * d.oh..][..d.oh];
         for ic in 0..d.cin {
-            let x_block = bi * d.x_stride_b() + ic * d.x_stride_c();
+            let gx_plane = &mut gx_sample[ic * d.x_stride_c()..][..d.x_stride_c()];
             for ky in 0..d.kh {
-                let (iy_off, oy_lo, oy_hi) = d.y_bounds(ky);
-                for kx in 0..d.kw {
-                    let Some((ox_lo, n, ix_lo)) = d.x_bounds(kx) else { continue };
-                    let mut w_acc = 0.0;
-                    for oy in oy_lo..oy_hi {
-                        let iy = (oy as isize + iy_off) as usize;
-                        let grow = &gd[g_block + oy * d.ow + ox_lo..][..n];
-                        let xrow = &xd[x_block + iy * d.wid + ix_lo..][..n];
-                        for (&g, &xv) in grow.iter().zip(xrow) {
-                            w_acc += g * xv;
+                let w_row = &wd[oc * d.w_stride_o() + ic * d.w_stride_c() + ky * d.kw..][..d.kw];
+                let w_taps = &w_row[taps.clone()];
+                for (oy, &g) in g_col.iter().enumerate() {
+                    let Some(iy) = d.row_y(oy, ky) else { continue };
+                    let gx_row = &mut gx_plane[iy * d.wid..][..d.wid];
+                    if d.dw == 1 {
+                        simd.axpy(&mut gx_row[d.col_x(taps.start)..], w_taps, g);
+                    } else {
+                        for (kx, &wv) in taps.clone().zip(w_taps) {
+                            gx_row[d.col_x(kx)] += wv * g;
                         }
                     }
-                    gw_plane[ic * d.w_stride_c() + ky * d.kw + kx] += w_acc;
                 }
             }
         }
     }
 }
+
+/// Kernel gradient of [`conv2d_forward`]: returns `grad_w` of `w`'s shape
+/// given the upstream gradient `grad_out` of shape `(B, C_out, H', W')`.
+///
+/// Each element sums its window products per sample from zero in `(oy, ox)`
+/// order, then adds the per-sample sums in ascending `bi`. The kernel runs
+/// several such sums side by side as independent chains (four input
+/// channels of one tap; for one-column outputs, a span of kernel columns)
+/// — it interleaves them, it never reassociates one — and is parallelised
+/// over output channels, so results are bit-identical at every thread
+/// count.
+///
+/// # Panics
+/// Panics like [`conv2d_forward`], and when `grad_out` does not have the
+/// forward output's shape.
+pub fn conv2d_grad_w(
+    x: &Tensor,
+    w: &Tensor,
+    grad_out: &Tensor,
+    dilation: Dilation,
+    pad: Padding,
+) -> Tensor {
+    let d = ConvDims::for_backward(x, w, grad_out, dilation, pad);
+    let timer = crate::tensor::kernel_timer();
+    let (xd, gd) = (x.data(), grad_out.data());
+    let plane = d.w_stride_o();
+    let mut gw = Storage::zeroed(w.len());
+    let chunk = chunk_len(gw.len(), plane, d.flops());
+    crate::par::par_chunks_mut(&mut gw, chunk, |ci, block| {
+        for (pi, gw_plane) in block.chunks_mut(plane.max(1)).enumerate() {
+            let oc = ci * chunk / plane.max(1) + pi;
+            if d.ow == 1 {
+                grad_w_col(&d, xd, gd, oc, gw_plane);
+            } else {
+                grad_w_rows(&d, xd, gd, oc, gw_plane);
+            }
+        }
+    });
+    crate::tensor::observe_kernel_ms("tensor.conv_grad_w_ms", timer);
+    Tensor::from_storage(w.shape(), gw)
+}
+
+/// Kernel gradient of output channel `oc` (`gw_plane` is its
+/// `(C_in, KH, KW)` slice): per sample and tap, four input channels share
+/// each `grad_out` run and keep one accumulator each.
+fn grad_w_rows(d: &ConvDims, xd: &[f64], gd: &[f64], oc: usize, gw_plane: &mut [f64]) {
+    for bi in 0..d.b {
+        let g_plane = &gd[bi * d.o_stride_b() + oc * d.o_stride_c()..][..d.o_stride_c()];
+        let xs = &xd[bi * d.x_stride_b()..][..d.x_stride_b()];
+        for ic0 in (0..d.cin).step_by(LANES) {
+            let nb = LANES.min(d.cin - ic0);
+            // A partial block repeats its last channel in the missing lanes
+            // and stores only the `nb` real sums.
+            let x_planes: [&[f64]; LANES] = std::array::from_fn(|r| {
+                &xs[(ic0 + r.min(nb - 1)) * d.x_stride_c()..][..d.x_stride_c()]
+            });
+            for ky in 0..d.kh {
+                for kx in 0..d.kw {
+                    let mut acc = [0.0; LANES];
+                    for (xo, oo, n) in d.tap_runs(ky, kx) {
+                        dot4(&mut acc, &g_plane[oo..][..n], x_planes.map(|p| &p[xo..][..n]));
+                    }
+                    let tap = ic0 * d.w_stride_c() + ky * d.kw + kx;
+                    for (r, &a) in acc.iter().enumerate().take(nb) {
+                        gw_plane[tap + r * d.w_stride_c()] += a;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `acc[r] += g[j] * x[r][j]` for ascending `j`: four independent
+/// accumulation chains sharing one `g` run (all runs have `g`'s length).
+fn dot4(acc: &mut [f64; LANES], g: &[f64], x: [&[f64]; LANES]) {
+    let n = g.len();
+    let (x0, x1, x2, x3) = (&x[0][..n], &x[1][..n], &x[2][..n], &x[3][..n]);
+    let [mut a0, mut a1, mut a2, mut a3] = *acc;
+    for j in 0..n {
+        let gv = g[j];
+        a0 += gv * x0[j];
+        a1 += gv * x1[j];
+        a2 += gv * x2[j];
+        a3 += gv * x3[j];
+    }
+    *acc = [a0, a1, a2, a3];
+}
+
+/// [`grad_w_rows`] for one-column outputs (`ow == 1`). Per sample, input
+/// channel and kernel row, up to [`COL_SPAN`] adjacent kernel columns
+/// accumulate side by side, each its own chain over the output rows: one
+/// `axpy` of an input row per upstream gradient element.
+fn grad_w_col(d: &ConvDims, xd: &[f64], gd: &[f64], oc: usize, gw_plane: &mut [f64]) {
+    let simd = crate::simd::Dispatch::capture();
+    let taps = d.col_taps();
+    for bi in 0..d.b {
+        let g_col = &gd[bi * d.o_stride_b() + oc * d.oh..][..d.oh];
+        for ic in 0..d.cin {
+            let x_plane = &xd[bi * d.x_stride_b() + ic * d.x_stride_c()..][..d.x_stride_c()];
+            for ky in 0..d.kh {
+                let gw_row = &mut gw_plane[ic * d.w_stride_c() + ky * d.kw..][..d.kw];
+                for kx0 in taps.clone().step_by(COL_SPAN) {
+                    let mut sums = [0.0; COL_SPAN];
+                    let sums = &mut sums[..COL_SPAN.min(taps.end - kx0)];
+                    for (oy, &g) in g_col.iter().enumerate() {
+                        let Some(iy) = d.row_y(oy, ky) else { continue };
+                        let x_taps = &x_plane[iy * d.wid + d.col_x(kx0)..];
+                        if d.dw == 1 {
+                            simd.axpy(sums, x_taps, g);
+                        } else {
+                            for (s, &xv) in sums.iter_mut().zip(x_taps.iter().step_by(d.dw)) {
+                                *s += g * xv;
+                            }
+                        }
+                    }
+                    for (w, &s) in gw_row[kx0..].iter_mut().zip(&*sums) {
+                        *w += s;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Kernel columns [`grad_w_col`] sums at once, in a stack buffer.
+const COL_SPAN: usize = 32;
 
 #[cfg(test)]
 mod tests {
@@ -409,7 +702,8 @@ mod tests {
         let y = conv2d_forward(&x, &w, dil, pad);
         // Loss = sum(y); upstream grad = ones.
         let gout = Tensor::ones(y.shape());
-        let (gx, gw) = conv2d_backward(&x, &w, &gout, dil, pad);
+        let gx = conv2d_grad_x(&x, &w, &gout, dil, pad);
+        let gw = conv2d_grad_w(&x, &w, &gout, dil, pad);
         let eps = 1e-5;
         // Spot-check a handful of coordinates of both gradients.
         for &i in &[0usize, 7, 23, 41] {
@@ -432,5 +726,31 @@ mod tests {
             let fd = (fp - fm) / (2.0 * eps);
             assert!((fd - gw.data()[i]).abs() < 1e-6, "gw[{i}]: fd={fd} ad={}", gw.data()[i]);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match the output shape")]
+    fn grad_x_rejects_misshapen_grad_out() {
+        let x = Tensor::zeros(&[1, 2, 3, 5]);
+        let w = Tensor::zeros(&[4, 2, 1, 3]);
+        // The VALID output is (1, 4, 3, 3); a causal-padded (…, 5) gradient
+        // used to be read as if it fit.
+        conv2d_grad_x(&x, &w, &Tensor::zeros(&[1, 4, 3, 5]), (1, 1), (0, 0, 0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match the output shape")]
+    fn grad_w_rejects_misshapen_grad_out() {
+        let x = Tensor::zeros(&[1, 2, 3, 5]);
+        let w = Tensor::zeros(&[4, 2, 1, 3]);
+        conv2d_grad_w(&x, &w, &Tensor::zeros(&[1, 4, 3, 5]), (1, 1), (0, 0, 0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "conv channels")]
+    fn backward_checks_channels_like_forward() {
+        let x = Tensor::zeros(&[1, 2, 3, 5]);
+        let w = Tensor::zeros(&[4, 3, 1, 3]);
+        conv2d_grad_w(&x, &w, &Tensor::zeros(&[1, 4, 3, 3]), (1, 1), (0, 0, 0, 0));
     }
 }

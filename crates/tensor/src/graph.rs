@@ -35,7 +35,7 @@
 //! assert_eq!(g.grad(w).unwrap().data(), &[1.0, 2.0]);
 //! ```
 
-use crate::conv::{conv2d_backward, conv2d_forward, Dilation, Padding};
+use crate::conv::{conv2d_forward, conv2d_grad_w, conv2d_grad_x, Dilation, Padding};
 use crate::shape;
 use crate::storage::Storage;
 use crate::tensor::Tensor;
@@ -698,8 +698,17 @@ impl Graph {
                 self.accumulate(x, gx);
             }
             Op::Conv2d { x, w, dilation, pad } => {
-                let (gx, gw) = conv2d_backward(self.value(x), self.value(w), g, dilation, pad);
-                self.accumulate(x, gx);
+                // The first conv of a net reads a data leaf, whose grad-x
+                // nobody reads, so it is not computed. One `tensor.conv_ms`
+                // observation covers the whole node.
+                let timer = crate::tensor::kernel_timer();
+                let (xv, wv) = (self.value(x), self.value(w));
+                let gx = self.rg(x).then(|| conv2d_grad_x(xv, wv, g, dilation, pad));
+                let gw = conv2d_grad_w(xv, wv, g, dilation, pad);
+                crate::tensor::observe_kernel_ms("tensor.conv_ms", timer);
+                if let Some(gx) = gx {
+                    self.accumulate(x, gx);
+                }
                 self.accumulate(w, gw);
             }
         }

@@ -56,10 +56,11 @@ fn simd_available() -> bool {
 }
 
 /// A hoisted dispatch decision. [`enabled`] reads a thread-local and a
-/// `OnceLock` — cheap once, but measurable when an inner loop issues millions
-/// of short AXPYs (the conv kernels run ~30-element rows). Kernels call
-/// [`Dispatch::capture`] once per plane/row-block and branch on the captured
-/// bool instead, which the compiler keeps in a register.
+/// `OnceLock` — cheap once, but measurable when an inner loop issues many
+/// short AXPYs (a shifted DCONV tap is one ~30-element run per row, a
+/// `Conv4` kernel row one 30-element run per output element). Kernels call
+/// [`Dispatch::capture`] once per plane/channel block and branch on the
+/// captured bool instead, which the compiler keeps in a register.
 #[derive(Clone, Copy)]
 pub struct Dispatch {
     #[cfg_attr(not(all(feature = "simd", target_arch = "x86_64")), allow(dead_code))]

@@ -1,14 +1,17 @@
 //! Bit-identity of the pooled kernels across thread counts.
 //!
 //! The worker pool (`ppn_tensor::par`) promises that `matmul`,
-//! `conv2d_forward` and `conv2d_backward` produce byte-for-byte identical
+//! `conv2d_forward`, `conv2d_grad_x` and `conv2d_grad_w` produce byte-for-byte identical
 //! results at every thread count. These tests compare `PPN_THREADS=1`
 //! against a 4-thread pool over randomized shapes (including empty and 1×1
 //! edges) and run the finite-difference gradcheck harness under the pooled
 //! kernels. A golden-digest test pins the conv kernels' outputs on every
 //! shipped conv shape bit for bit.
 
-use ppn_tensor::conv::{causal_padding, conv2d_backward, conv2d_forward, same_padding};
+use ppn_tensor::approx::is_zero;
+use ppn_tensor::conv::{
+    causal_padding, conv2d_forward, conv2d_grad_w, conv2d_grad_x, same_padding, Dilation, Padding,
+};
 use ppn_tensor::gradcheck::gradcheck;
 use ppn_tensor::par::with_threads;
 use ppn_tensor::{ParamStore, Tensor};
@@ -38,20 +41,145 @@ fn matmul_case() -> impl Strategy<Value = ((usize, usize, usize), Vec<f64>, Vec<
     })
 }
 
-/// Random NCHW conv case: geometry plus input/kernel data. Kernel extents
-/// stay within the causal-padded input, so every case is valid.
-type ConvCase = (((usize, usize, usize), (usize, usize), (usize, usize)), Vec<f64>, Vec<f64>);
+/// Random NCHW conv case: input, kernel, dilation and padding. Channel
+/// counts reach 9, so blocks of four channels come with every remainder.
+/// Three padding modes cover each kernel path:
+///
+/// * causal on both axes with dilated columns (the DCONV layout; the
+///   unshifted tap covers whole rows);
+/// * SAME rows with dilated causal columns (CCONV-like: with `kw == 1`
+///   every tap covers whole rows, which merge into one run);
+/// * SAME rows with a kernel as wide as the left-padded input, so the
+///   output is one column wide (`Conv4`-like, including invalid taps).
+///
+/// About one weight in five is exactly zero and about one input in forty
+/// is infinite, so the zero-weight skip meets a non-finite input.
+#[derive(Debug)]
+struct ConvCase {
+    x: Tensor,
+    w: Tensor,
+    dil: Dilation,
+    pad: Padding,
+}
 
 fn conv_case() -> impl Strategy<Value = ConvCase> {
-    ((1usize..4, 1usize..4, 1usize..9), (1usize..4, 1usize..4), (1usize..10, 1usize..13))
-        .prop_flat_map(|(bc, kk, hw)| {
-            let ((b, cin, cout), (kh, kw), (h, w)) = (bc, kk, hw);
-            (
-                Just((bc, kk, hw)),
-                prop::collection::vec(-5.0..5.0f64, b * cin * h * w),
-                prop::collection::vec(-5.0..5.0f64, cout * cin * kh * kw),
-            )
+    let dims =
+        ((1usize..4, 1usize..10, 1usize..10), (1usize..4, 1usize..4, 1usize..10, 1usize..13));
+    let layout = (1usize..3, 0usize..3, 0usize..3);
+    (dims, layout).prop_flat_map(|(((b, cin, cout), (kh, kw, h, w)), (dw, mode, extra))| {
+        let (pt, pb) = if mode == 0 { (kh - 1, 0) } else { same_padding(kh, 1) };
+        let (kw, pl) = match mode {
+            0 | 1 => (kw, dw * (kw - 1)),
+            _ => ((w + extra - 1) / dw + 1, extra),
+        };
+        let x = prop::collection::vec(
+            (0u32..40, -5.0..5.0f64).prop_map(|(r, v)| if r == 0 { f64::INFINITY } else { v }),
+            b * cin * h * w,
+        );
+        let k = prop::collection::vec(
+            (0u32..5, -5.0..5.0f64).prop_map(|(r, v)| if r == 0 { 0.0 } else { v }),
+            cout * cin * kh * kw,
+        );
+        (x, k).prop_map(move |(x, k)| ConvCase {
+            x: Tensor::from_vec(&[b, cin, h, w], x),
+            w: Tensor::from_vec(&[cout, cin, kh, kw], k),
+            dil: (1, dw),
+            pad: (pt, pb, pl, 0),
         })
+    })
+}
+
+/// `(grad_x, grad_w)` of one conv node.
+fn grads(x: &Tensor, w: &Tensor, g: &Tensor, dil: Dilation, pad: Padding) -> (Tensor, Tensor) {
+    (conv2d_grad_x(x, w, g, dil, pad), conv2d_grad_w(x, w, g, dil, pad))
+}
+
+/// The input coordinate tap `k` of output coordinate `o` reads along one
+/// axis, if it lies inside the unpadded input.
+fn src(o: usize, k: usize, dil: usize, pad_lo: usize, len: usize) -> Option<usize> {
+    (o + k * dil).checked_sub(pad_lo).filter(|&i| i < len)
+}
+
+/// Naive per-element conv in the documented accumulation orders: forward
+/// sums `ic, ky, kx` from zero, skipping exact-zero weights; grad-x sums
+/// `oc, ky, kx`; grad-w sums each sample's window in `(oy, ox)` order and
+/// adds the sample sums in ascending `bi`.
+fn reference(c: &ConvCase, g: &Tensor) -> [Tensor; 3] {
+    let (x, w) = (c.x.data(), c.w.data());
+    let [b, cin, h, wid] = [c.x.shape()[0], c.x.shape()[1], c.x.shape()[2], c.x.shape()[3]];
+    let [cout, _, kh, kw] = [c.w.shape()[0], c.w.shape()[1], c.w.shape()[2], c.w.shape()[3]];
+    let [oh, ow] = [g.shape()[2], g.shape()[3]];
+    let ((dh, dw), (pt, _, pl, _)) = (c.dil, c.pad);
+    let xi = |bi: usize, ic: usize, iy: usize, ix: usize| ((bi * cin + ic) * h + iy) * wid + ix;
+    let wi = |oc: usize, ic: usize, ky: usize, kx: usize| ((oc * cin + ic) * kh + ky) * kw + kx;
+    let oi = |bi: usize, oc: usize, oy: usize, ox: usize| ((bi * cout + oc) * oh + oy) * ow + ox;
+    let taps = || {
+        (0..cin).flat_map(move |ic| (0..kh).flat_map(move |ky| (0..kw).map(move |kx| (ic, ky, kx))))
+    };
+    let mut y = vec![0.0; b * cout * oh * ow];
+    let mut gw = vec![0.0; w.len()];
+    for (bi, oc, oy, ox) in (0..b).flat_map(|bi| {
+        (0..cout)
+            .flat_map(move |oc| (0..oh).flat_map(move |oy| (0..ow).map(move |ox| (bi, oc, oy, ox))))
+    }) {
+        let mut acc = 0.0;
+        for (ic, ky, kx) in taps() {
+            let (Some(iy), Some(ix)) = (src(oy, ky, dh, pt, h), src(ox, kx, dw, pl, wid)) else {
+                continue;
+            };
+            if !is_zero(w[wi(oc, ic, ky, kx)]) {
+                acc += w[wi(oc, ic, ky, kx)] * x[xi(bi, ic, iy, ix)];
+            }
+        }
+        y[oi(bi, oc, oy, ox)] = acc;
+    }
+    let mut gx = vec![0.0; x.len()];
+    for (bi, ic, iy, ix) in (0..b).flat_map(|bi| {
+        (0..cin)
+            .flat_map(move |ic| (0..h).flat_map(move |iy| (0..wid).map(move |ix| (bi, ic, iy, ix))))
+    }) {
+        let mut acc = 0.0;
+        for oc in 0..cout {
+            for (ky, kx) in (0..kh).flat_map(|ky| (0..kw).map(move |kx| (ky, kx))) {
+                let oy = (iy + pt).checked_sub(ky * dh).filter(|&oy| oy < oh);
+                let ox = (ix + pl).checked_sub(kx * dw).filter(|&ox| ox < ow);
+                if let (Some(oy), Some(ox)) = (oy, ox) {
+                    acc += w[wi(oc, ic, ky, kx)] * g.data()[oi(bi, oc, oy, ox)];
+                }
+            }
+        }
+        gx[xi(bi, ic, iy, ix)] = acc;
+    }
+    for oc in 0..cout {
+        for (ic, ky, kx) in taps() {
+            for bi in 0..b {
+                let mut sum = 0.0;
+                for (oy, ox) in (0..oh).flat_map(|oy| (0..ow).map(move |ox| (oy, ox))) {
+                    if let (Some(iy), Some(ix)) = (src(oy, ky, dh, pt, h), src(ox, kx, dw, pl, wid))
+                    {
+                        sum += g.data()[oi(bi, oc, oy, ox)] * x[xi(bi, ic, iy, ix)];
+                    }
+                }
+                gw[wi(oc, ic, ky, kx)] += sum;
+            }
+        }
+    }
+    [
+        Tensor::from_vec(g.shape(), y),
+        Tensor::from_vec(c.x.shape(), gx),
+        Tensor::from_vec(c.w.shape(), gw),
+    ]
+}
+
+/// Bit equality, except that any two NaNs match: a NaN's payload is not
+/// part of the accumulation-order contract.
+fn same_bits(got: &Tensor, want: &Tensor) -> bool {
+    got.shape() == want.shape()
+        && got
+            .data()
+            .iter()
+            .zip(want.data())
+            .all(|(a, b)| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()))
 }
 
 proptest! {
@@ -68,23 +196,29 @@ proptest! {
     }
 
     #[test]
-    fn conv_forward_and_gradients_bit_identical_across_threads(case in conv_case()) {
-        let (((b, cin, cout), (kh, kw), (h, w)), xd, wd) = case;
-        let x = Tensor::from_vec(&[b, cin, h, w], xd);
-        let kern = Tensor::from_vec(&[cout, cin, kh, kw], wd);
-        // Causal padding on both axes keeps every kernel extent valid.
-        let pad = (kh - 1, 0, kw - 1, 0);
+    fn conv_forward_and_gradients_bit_identical_across_threads(c in conv_case()) {
         let (ys, yp) = (
-            with_threads(1, || conv2d_forward(&x, &kern, (1, 1), pad)),
-            with_threads(4, || conv2d_forward(&x, &kern, (1, 1), pad)),
+            with_threads(1, || conv2d_forward(&c.x, &c.w, c.dil, c.pad)),
+            with_threads(4, || conv2d_forward(&c.x, &c.w, c.dil, c.pad)),
         );
         assert_bit_identical(&ys, &yp, "conv2d_forward");
 
         let gout = Tensor::ones(ys.shape());
-        let (gxs, gws) = with_threads(1, || conv2d_backward(&x, &kern, &gout, (1, 1), pad));
-        let (gxp, gwp) = with_threads(4, || conv2d_backward(&x, &kern, &gout, (1, 1), pad));
+        let (gxs, gws) = with_threads(1, || grads(&c.x, &c.w, &gout, c.dil, c.pad));
+        let (gxp, gwp) = with_threads(4, || grads(&c.x, &c.w, &gout, c.dil, c.pad));
         assert_bit_identical(&gxs, &gxp, "conv2d grad_x");
         assert_bit_identical(&gws, &gwp, "conv2d grad_w");
+    }
+
+    #[test]
+    fn conv_matches_naive_reference_bit_for_bit(c in conv_case(), seed in 0u64..1000) {
+        let y = conv2d_forward(&c.x, &c.w, c.dil, c.pad);
+        let gout = Tensor::randn(&mut StdRng::seed_from_u64(seed), y.shape(), 1.0);
+        let (gx, gw) = grads(&c.x, &c.w, &gout, c.dil, c.pad);
+        let [ry, rgx, rgw] = reference(&c, &gout);
+        prop_assert!(same_bits(&y, &ry), "forward diverged from the reference");
+        prop_assert!(same_bits(&gx, &rgx), "grad_x diverged from the reference");
+        prop_assert!(same_bits(&gw, &rgw), "grad_w diverged from the reference");
     }
 }
 
@@ -112,9 +246,8 @@ fn unit_conv_edges_match_across_threads() {
     for t in [1usize, 4] {
         let y = with_threads(t, || conv2d_forward(&x, &w, (1, 1), (0, 0, 0, 0)));
         assert_eq!(y.data(), &[-5.0]);
-        let (gx, gw) = with_threads(t, || {
-            conv2d_backward(&x, &w, &Tensor::ones(&[1, 1, 1, 1]), (1, 1), (0, 0, 0, 0))
-        });
+        let (gx, gw) =
+            with_threads(t, || grads(&x, &w, &Tensor::ones(&[1, 1, 1, 1]), (1, 1), (0, 0, 0, 0)));
         assert_eq!(gx.data(), &[-2.0]);
         assert_eq!(gw.data(), &[2.5]);
     }
@@ -134,8 +267,8 @@ fn dilated_same_conv_bit_identical_across_threads() {
     let pooled = with_threads(4, || conv2d_forward(&x, &w, (1, 2), pad));
     assert_bit_identical(&serial, &pooled, "dilated SAME conv");
     let gout = Tensor::ones(serial.shape());
-    let (gxs, gws) = with_threads(1, || conv2d_backward(&x, &w, &gout, (1, 2), pad));
-    let (gxp, gwp) = with_threads(4, || conv2d_backward(&x, &w, &gout, (1, 2), pad));
+    let (gxs, gws) = with_threads(1, || grads(&x, &w, &gout, (1, 2), pad));
+    let (gxp, gwp) = with_threads(4, || grads(&x, &w, &gout, (1, 2), pad));
     assert_bit_identical(&gxs, &gxp, "dilated SAME grad_x");
     assert_bit_identical(&gws, &gwp, "dilated SAME grad_w");
 }
@@ -222,7 +355,7 @@ fn net_conv_digests(c: &NetConv, b: usize, seed: u64) -> [u64; 3] {
     kern.data_mut()[zero_at] = 0.0;
     let y = conv2d_forward(&x, &kern, c.dilation, c.pad);
     let gout = Tensor::randn(&mut rng, y.shape(), 1.0);
-    let (gx, gw) = conv2d_backward(&x, &kern, &gout, c.dilation, c.pad);
+    let (gx, gw) = grads(&x, &kern, &gout, c.dilation, c.pad);
     [digest(&y), digest(&gx), digest(&gw)]
 }
 

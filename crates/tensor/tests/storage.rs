@@ -143,35 +143,40 @@ fn scalar_and_vector_kernels_bit_identical_on_random_shapes() {
         let b = Tensor::randn(&mut rng, &[k, m], 1.0);
 
         let bsz = rng.gen_range(1..4);
-        let cin = rng.gen_range(1..4);
-        let cout = rng.gen_range(1..5);
-        let h = rng.gen_range(1..4);
+        let cin = rng.gen_range(1..10);
+        let cout = rng.gen_range(1..10);
+        let h = rng.gen_range(1..6);
         let w = rng.gen_range(4..24);
         let kw = rng.gen_range(1..4);
         let dil = rng.gen_range(1..3);
         let x = Tensor::randn(&mut rng, &[bsz, cin, h, w], 1.0);
-        let wt = Tensor::randn(&mut rng, &[cout, cin, 1, kw], 0.5);
         let (pl, pr) = conv::causal_padding(kw, dil);
+        let (pt, pb) = conv::same_padding(h, 1);
+        // A causal DCONV (1×kw), a CCONV spanning every row (h×1, SAME,
+        // whole-row runs) and a Conv4-like full-width kernel (one output
+        // column).
+        let convs = [
+            (Tensor::randn(&mut rng, &[cout, cin, 1, kw], 0.5), (1, dil), (0, 0, pl, pr)),
+            (Tensor::randn(&mut rng, &[cout, cin, h, 1], 0.5), (1, 1), (pt, pb, 0, 0)),
+            (Tensor::randn(&mut rng, &[cout, cin, 1, w], 0.5), (1, 1), (0, 0, 0, 0)),
+        ];
 
         for threads in [1usize, 4] {
             par::with_threads(threads, || {
-                let mm = a.matmul(&b);
-                let y = conv::conv2d_forward(&x, &wt, (1, dil), (0, 0, pl, pr));
-                let go = Tensor::ones(y.shape());
-                let (gx, gw) = conv::conv2d_backward(&x, &wt, &go, (1, dil), (0, 0, pl, pr));
-
-                let (smm, sy, sgx, sgw) = simd::force_scalar(|| {
-                    let smm = a.matmul(&b);
-                    let sy = conv::conv2d_forward(&x, &wt, (1, dil), (0, 0, pl, pr));
-                    let (sgx, sgw) = conv::conv2d_backward(&x, &wt, &go, (1, dil), (0, 0, pl, pr));
-                    (smm, sy, sgx, sgw)
-                });
-                for (name, got, want) in [
-                    ("matmul", &mm, &smm),
-                    ("conv_fwd", &y, &sy),
-                    ("gx", &gx, &sgx),
-                    ("gw", &gw, &sgw),
-                ] {
+                let run = || {
+                    let mut outs = vec![("matmul", a.matmul(&b))];
+                    for (wt, dil, pad) in &convs {
+                        let y = conv::conv2d_forward(&x, wt, *dil, *pad);
+                        let go = Tensor::ones(y.shape());
+                        outs.push(("gx", conv::conv2d_grad_x(&x, wt, &go, *dil, *pad)));
+                        outs.push(("gw", conv::conv2d_grad_w(&x, wt, &go, *dil, *pad)));
+                        outs.push(("conv_fwd", y));
+                    }
+                    outs
+                };
+                let vector = run();
+                let scalar = simd::force_scalar(run);
+                for ((name, got), (_, want)) in vector.iter().zip(&scalar) {
                     assert_eq!(got.shape(), want.shape());
                     for (gv, wv) in got.data().iter().zip(want.data()) {
                         assert_eq!(
