@@ -52,6 +52,9 @@ pub fn causal_padding(kernel: usize, dilation: usize) -> (usize, usize) {
 /// and grad-w keeps four independent accumulators in flight.
 const LANES: usize = 4;
 
+/// Kernel columns [`grad_w_col`] sums at once, in a stack buffer.
+const COL_SPAN: usize = 32;
+
 /// Shared geometry for one conv call, precomputed once and read by every
 /// worker.
 #[derive(Clone, Copy)]
@@ -597,9 +600,6 @@ fn grad_w_col(d: &ConvDims, xd: &[f64], gd: &[f64], oc: usize, gw_plane: &mut [f
         }
     }
 }
-
-/// Kernel columns [`grad_w_col`] sums at once, in a stack buffer.
-const COL_SPAN: usize = 32;
 
 #[cfg(test)]
 mod tests {
