@@ -15,7 +15,7 @@
 //!                 │ read/write deadlines, idle reaping                   │
 //!                 │   POST /decide ──▶ bounded RequestQueue ── full? 429 │
 //!                 └──────────────────────────│───────────────────────────┘
-//!                                            │ drain(≤max_batch) + condvar wake
+//!                                            │ next_batch(≤max_batch), condvar wake
 //!                                            ▼
 //!                                     batcher thread ── act_batch (one forward
 //!                                            │          pass on the ppn_tensor::par
@@ -30,8 +30,11 @@
 //! answers `429 Too Many Requests` with `Retry-After`, a full connection
 //! table answers `503` — never by unbounded queueing.
 //!
-//! Concurrent requests that arrive within a batching window are coalesced
-//! into **one** batched forward pass ([`ppn_core::ppn::PolicyNet::act_batch`]).
+//! Batching is *natural*: when the batcher wakes it runs **one** batched
+//! forward pass ([`ppn_core::ppn::PolicyNet::act_batch`]) over whatever is
+//! queued, and the requests that arrive during that pass form the next
+//! batch. Nothing sleeps to wait for company, so a lone request pays no
+//! gather delay and batches grow with load.
 //! Because every tensor kernel keeps its per-row accumulation order
 //! independent of the batch dimension, a micro-batched decision is
 //! **bit-identical** to the same request served alone — batching is purely a

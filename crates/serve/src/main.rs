@@ -13,8 +13,9 @@
 //! `PPN_SERVE_QUEUE_CAP` (bounded decision queue, overflow sheds with 429),
 //! `PPN_SERVE_MAX_CONNS` (connection limit, overflow refused with 503), and
 //! `PPN_SERVE_IDLE_MS` (idle keep-alive reap timeout). These and `--addr`
-//! are the only settings: the 300 µs batching window, the 5 ms batcher poll
-//! slice and the 10 s per-decision timeout are fixed.
+//! are the only settings: the 5 ms batcher poll slice and the 10 s
+//! per-decision timeout are fixed, and batching is natural (whatever is
+//! queued when the batcher wakes goes in one forward pass).
 #![forbid(unsafe_code)]
 
 use ppn_core::config::NetConfig;

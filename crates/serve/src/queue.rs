@@ -114,26 +114,21 @@ impl RequestQueue {
         Ok(())
     }
 
-    /// Removes and returns up to `max` requests from the front.
-    pub fn drain(&self, max: usize) -> Vec<QueuedRequest> {
+    /// Takes the next batch: blocks while the queue is empty (for at most
+    /// `timeout`), then removes up to `max` requests from the front under
+    /// the same lock. Whatever is queued goes at once; nothing waits for
+    /// company. Returns an empty batch when the wait ends with the queue
+    /// still empty — a timeout, a [`RequestQueue::notify_all`] or a spurious
+    /// wake — so the batcher can re-check its stop flag.
+    pub fn next_batch(&self, max: usize, timeout: Duration) -> Vec<QueuedRequest> {
         let mut q = self.jobs.lock();
+        if q.is_empty() {
+            q = self.ready.wait_timeout(q, timeout).unwrap_or_else(PoisonError::into_inner).0;
+        }
         let n = max.min(q.len());
         let out: Vec<QueuedRequest> = q.drain(..n).collect();
         self.depth.set(q.len() as f64);
         out
-    }
-
-    /// Blocks until the queue is (probably) non-empty or `timeout` elapses;
-    /// returns whether work was visible at wakeup. The batcher uses the
-    /// timeout slice to re-check its stop flag, so spurious wakes are fine.
-    pub fn wait_nonempty(&self, timeout: Duration) -> bool {
-        let q = self.jobs.lock();
-        if !q.is_empty() {
-            return true;
-        }
-        let (q, _timed_out) =
-            self.ready.wait_timeout(q, timeout).unwrap_or_else(PoisonError::into_inner);
-        !q.is_empty()
     }
 
     /// Wakes every waiter regardless of queue state (used at shutdown so
@@ -190,8 +185,8 @@ mod tests {
         let back = q.try_push(job).expect_err("third push must be refused at cap 2");
         assert_eq!(back.request.model, "m");
         assert_eq!(q.len(), 2);
-        // Draining frees capacity again.
-        assert_eq!(q.drain(1).len(), 1);
+        // Taking a batch frees capacity again.
+        assert_eq!(q.next_batch(1, Duration::ZERO).len(), 1);
         let (job, _rx2) = dummy_job();
         assert!(q.try_push(job).is_ok());
     }
@@ -218,12 +213,65 @@ mod tests {
         assert!(tx.is_disconnected(), "dropping the receiver must mark the sender disconnected");
     }
 
+    /// Generous bound for "returned without waiting out the timeout".
+    const LONG: Duration = Duration::from_secs(10);
+
+    fn queue_with(cap: usize, jobs: usize) -> RequestQueue {
+        let q = RequestQueue::new(cap);
+        for _ in 0..jobs {
+            assert!(q.try_push(dummy_job().0).is_ok());
+        }
+        q
+    }
+
     #[test]
-    fn wait_nonempty_sees_pushed_work() {
+    fn next_batch_takes_everything_queued_without_waiting() {
+        let q = queue_with(64, 3);
+        let started = ppn_obs::clock::now();
+        assert_eq!(q.next_batch(32, LONG).len(), 3, "three queued jobs form one batch");
+        assert!(started.elapsed() < LONG / 2, "a non-empty queue must not wait out the timeout");
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn next_batch_caps_at_max_and_leaves_the_rest() {
+        let q = queue_with(64, 40);
+        assert_eq!(q.next_batch(32, LONG).len(), 32);
+        assert_eq!(q.len(), 8);
+        assert_eq!(q.next_batch(32, LONG).len(), 8);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn next_batch_on_an_empty_queue_times_out_empty() {
         let q = RequestQueue::new(4);
-        assert!(!q.wait_nonempty(Duration::from_millis(1)), "empty queue times out");
-        let (job, _rx) = dummy_job();
-        q.try_push(job).ok();
-        assert!(q.wait_nonempty(Duration::from_millis(1)));
+        let timeout = Duration::from_millis(20);
+        let started = ppn_obs::clock::now();
+        assert!(q.next_batch(32, timeout).is_empty());
+        assert!(started.elapsed() >= timeout, "an empty queue waits out its timeout");
+    }
+
+    #[test]
+    fn notify_all_wakes_a_waiter_early() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let q = RequestQueue::new(4);
+        let done = AtomicBool::new(false);
+        let waited = std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                let started = ppn_obs::clock::now();
+                let batch = q.next_batch(32, LONG);
+                done.store(true, Ordering::SeqCst);
+                (batch.len(), started.elapsed())
+            });
+            // Keep notifying until the waiter is out: a notify that lands
+            // before it starts waiting would otherwise be lost.
+            while !done.load(Ordering::SeqCst) {
+                q.notify_all();
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            waiter.join().expect("waiter thread")
+        });
+        assert_eq!(waited.0, 0, "a wake with nothing queued returns an empty batch");
+        assert!(waited.1 < LONG / 2, "notify_all must end the wait early, took {:?}", waited.1);
     }
 }

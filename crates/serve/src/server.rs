@@ -91,10 +91,6 @@ fn parse_env<T: std::str::FromStr>(raw: Option<String>) -> Option<T> {
 /// Batcher stop-flag recheck slice while waiting on the queue condvar.
 const POLL_INTERVAL: Duration = Duration::from_millis(5);
 
-/// Extra wait after the first drained request of a batch, letting
-/// concurrent requests coalesce into the same forward pass.
-const GATHER_WINDOW: Duration = Duration::from_micros(300);
-
 /// How long a queued decision may stay unanswered before its slot resolves
 /// to `504` (and the batcher job is cancelled).
 const REQUEST_TIMEOUT: Duration = Duration::from_secs(10);
@@ -160,31 +156,25 @@ impl Server {
             let queue = Arc::clone(&queue);
             let stop = Arc::clone(&stop_batcher);
             let waker = Arc::clone(&waker);
-            let cfg = cfg.clone();
+            let max_batch = cfg.max_batch;
+            // Natural batching: the batcher forwards whatever is queued the
+            // moment it wakes (up to `max_batch`) and never sleeps to gather
+            // company. Requests that arrive during a forward pass queue up
+            // and form the next batch, so batches grow with load on their own.
             std::thread::spawn(move || loop {
-                let mut jobs = queue.drain(cfg.max_batch);
-                if jobs.is_empty() {
-                    if stop.load(Ordering::SeqCst) {
-                        if queue.is_empty() {
-                            break;
-                        }
-                    } else {
-                        // Condvar-notified: wakes the instant work arrives;
-                        // the timeout slice only bounds stop-flag latency.
-                        queue.wait_nonempty(POLL_INTERVAL);
-                    }
-                    continue;
+                // Condvar-notified: wakes the instant work arrives; the
+                // timeout slice only bounds stop-flag latency.
+                let jobs = queue.next_batch(max_batch, POLL_INTERVAL);
+                if !jobs.is_empty() {
+                    process_batch(&registry, jobs);
+                    // Outcomes are in their reply slots: poke the event loop
+                    // so it writes responses now rather than at the next tick.
+                    let _ = waker.wake();
+                } else if stop.load(Ordering::SeqCst) {
+                    // The event loop has exited, so nothing is pushed any
+                    // more: an empty batch means the queue is drained.
+                    break;
                 }
-                // Micro-batching: give concurrent requests a beat to land,
-                // then top the batch up before paying for a forward pass.
-                if jobs.len() < cfg.max_batch {
-                    std::thread::sleep(GATHER_WINDOW);
-                    jobs.extend(queue.drain(cfg.max_batch - jobs.len()));
-                }
-                process_batch(&registry, jobs);
-                // Outcomes are in their reply slots: poke the event loop so
-                // it writes responses now rather than at the next tick.
-                let _ = waker.wake();
             })
         };
 
@@ -483,7 +473,11 @@ fn route_request(
             let root = ppn_obs::span::detached("serve.request");
             let trace = root.context();
             let (tx, rx) = reply_pair();
-            let job = QueuedRequest { request: parsed, reply: tx, enqueued_at: now, trace };
+            // Queue wait starts here, not at the poll round's `now`: the
+            // round also decoded every request parsed before this one. The
+            // 504 deadline and `serve.latency_ms` stay on the round's clock.
+            let enqueued_at = clock::now();
+            let job = QueuedRequest { request: parsed, reply: tx, enqueued_at, trace };
             match queue.try_push(job) {
                 Ok(()) => conn.push_waiting(rx, now, now + REQUEST_TIMEOUT, root, keep),
                 Err(_refused) => {

@@ -84,12 +84,11 @@ fn concurrent_decides_are_bit_identical_to_direct_act() {
     let bodies: Vec<String> = (0..clients).map(|i| decide_body(&cfg, i as u64)).collect();
 
     // Fan the requests out on the tensor worker pool (bench/test code may
-    // not spawn raw threads) so several land inside one gather window.
+    // not spawn raw threads) so several can queue behind one forward pass.
     let responses = ppn_tensor::par::with_threads(clients, || {
         ppn_tensor::par::par_map(clients, |i| http_request(addr, "POST", "/decide", &bodies[i]))
     });
 
-    let mut max_batch = 0usize;
     for (i, resp) in responses.into_iter().enumerate() {
         let (status, body) = resp.unwrap();
         assert_eq!(status, 200, "client {i}: body {body}");
@@ -98,9 +97,12 @@ fn concurrent_decides_are_bit_identical_to_direct_act() {
         let got: Vec<u64> = resp.weights.iter().map(|w| w.to_bits()).collect();
         let want: Vec<u64> = expected[i].iter().map(|w| w.to_bits()).collect();
         assert_eq!(got, want, "client {i}: batched weights must be bit-identical to act()");
-        max_batch = max_batch.max(resp.batch_size);
+        assert!(
+            (1..=clients).contains(&resp.batch_size),
+            "client {i}: batch size {} must lie in 1..={clients}",
+            resp.batch_size
+        );
     }
-    assert!(max_batch >= 1);
     server.shutdown();
 }
 
@@ -376,7 +378,7 @@ fn process_batch_coalesces_jobs_into_one_forward_pass() {
         receivers.push(rx);
     }
     assert_eq!(queue.len(), n as usize);
-    process_batch(&registry, queue.drain(16));
+    process_batch(&registry, queue.next_batch(16, Duration::ZERO));
     assert!(queue.is_empty());
     for rx in receivers {
         let resp = rx.try_take().expect("outcome delivered").unwrap();

@@ -69,9 +69,11 @@ pub fn threads() -> usize {
 
 /// Runs `f` with the effective thread count forced to `n` on this thread
 /// (clamped to `1..=MAX_THREADS`), restoring the previous setting afterwards
-/// — including on panic. Lets one process compare thread counts directly;
-/// the override does not propagate into spawned workers, but kernels never
-/// nest parallel regions, so that is unobservable.
+/// — including on panic. Lets one process compare thread counts directly.
+/// The override does not propagate into spawned workers. Parallel regions
+/// do nest: `ppn_bench`'s `run_cells` runs whole training cells through
+/// [`par_map`], and the kernels inside each worker read the global count
+/// again, so a worker can start its own region (ROADMAP item 2).
 pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     struct Restore(usize);
     impl Drop for Restore {
