@@ -744,13 +744,29 @@ fn check_no_unsafe(file: &SourceFile) -> Vec<Diagnostic> {
     out
 }
 
-/// (file suffix, hot function names) pairs: the tape backward sweep and the
-/// kernel inner loops. A fresh heap allocation in these shows up on every
+/// (file suffix, hot function names) pairs: the tape backward sweep, the
+/// fused ops' element loops and the kernel inner loops. A fresh heap allocation in these shows up on every
 /// training step and defeats the storage arena, so it must go through
 /// `Storage::uninit`/`Storage::zeroed` (arena-backed) or stack scratch
 /// (`shape::with_dims`) instead.
-const HOT_ALLOC_FILES: [(&str, &[&str]); 3] = [
-    ("crates/tensor/src/graph.rs", &["backward_with", "propagate", "accumulate"]),
+const HOT_ALLOC_FILES: [(&str, &[&str]); 4] = [
+    (
+        "crates/tensor/src/graph.rs",
+        &["backward_with", "propagate", "accumulate", "reduce_into", "route2"],
+    ),
+    (
+        "crates/tensor/src/fused.rs",
+        &[
+            "bias_dropout_relu",
+            "bias_dropout_relu_grad",
+            "lstm_gates",
+            "lstm_gates_grad",
+            "lstm_cell",
+            "lstm_cell_grad",
+            "lstm_hidden",
+            "lstm_hidden_grad",
+        ],
+    ),
     (
         "crates/tensor/src/conv.rs",
         &[

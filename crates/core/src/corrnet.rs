@@ -164,18 +164,13 @@ impl CorrNet {
         training: bool,
         rng: &mut R,
     ) -> NodeId {
+        let p = self.dropout;
         let mut h = x;
         for b in &self.blocks {
-            h = b.dconv1.forward(g, bind, h);
-            h = g.dropout(h, self.dropout, training, rng);
-            h = g.relu(h);
-            h = b.dconv2.forward(g, bind, h);
-            h = g.dropout(h, self.dropout, training, rng);
-            h = g.relu(h);
+            h = b.dconv1.forward_dropout_relu(g, bind, h, p, training, rng);
+            h = b.dconv2.forward_dropout_relu(g, bind, h, p, training, rng);
             if let Some(cc) = &b.cconv {
-                h = cc.forward(g, bind, h);
-                h = g.dropout(h, self.dropout, training, rng);
-                h = g.relu(h);
+                h = cc.forward_dropout_relu(g, bind, h, p, training, rng);
             }
         }
         h
@@ -198,8 +193,7 @@ impl CorrNet {
         let conv4 = self.conv4.as_ref().expect("CorrNet built without Conv4");
         let x = g.leaf(batch.conv_input.clone());
         let h = self.forward_blocks(g, bind, x, training, rng);
-        let y = conv4.forward(g, bind, h);
-        g.relu(y)
+        conv4.forward_dropout_relu(g, bind, h, 0.0, training, rng)
     }
 }
 

@@ -88,8 +88,8 @@ mod tests {
             |g, bind| {
                 let x = bind.node(w);
                 let s = g.square(x);
-                let e = g.exp(x);
-                let t = g.add(s, e);
+                let c = g.scale(x, 3.0);
+                let t = g.add(s, c);
                 g.sum(t)
             },
             1e-6,

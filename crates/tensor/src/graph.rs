@@ -6,6 +6,24 @@
 //! tape is in topological order by construction — backward is a single
 //! reverse sweep.
 //!
+//! ## Gradients live only on leaves
+//!
+//! The reverse sweep keeps a gradient only on [`Op::Leaf`] nodes (the
+//! parameters a [`crate::Binding`] reads). An interior node's gradient is
+//! dropped as soon as it has been propagated to the node's operands, so its
+//! buffer goes back to the arena while still cache-hot and the next interior
+//! gradient rebinds it. An operand that does not require a gradient gets
+//! none computed for it: a dropout mask, a data leaf, an LSTM's zero state.
+//!
+//! ## Fused ops
+//!
+//! The two glue chains that dominated the PPN tape are single nodes:
+//! [`Graph::bias_dropout_relu`] (a conv's bias, inverted dropout and ReLU,
+//! with the mask held as bits) and [`Graph::lstm_step`] (gates, cell and
+//! hidden state of one LSTM step). Their loops (`crate::fused`) compute the
+//! same per-element expressions in the same order as the primitive chains
+//! they replace, so results are bit-identical.
+//!
 //! ## Buffer reuse across steps
 //!
 //! Training replays the same network structure every step, so the tape's
@@ -15,12 +33,19 @@
 //! parks their aligned buffers in the thread-local size-bucketed arena
 //! ([`crate::storage`]); the next sweep's node outputs and gradients then
 //! rebind those exact buffers (same size class → same free-list, LIFO).
-//! After the first step a steady-state trainer loop allocates nothing —
-//! observable via the `tensor.arena_hits` / `tensor.alloc_bytes` counters
-//! flushed at the end of every backward sweep, and via [`Graph::tape_stats`].
-//! Within a sweep, backward arms write into recycled buffers through
-//! [`crate::tensor::Tensor::add_assign`] instead of allocating fresh
-//! intermediates (the `ppn-check` `no-hot-alloc` rule keeps it that way).
+//! A reused tape's dropout bits live in one word buffer that
+//! [`Graph::reset`] clears without freeing. So after the first step a
+//! steady-state trainer loop on a reused tape allocates nothing, provided
+//! the buffers one step holds at its peak fit under the arena's per-thread
+//! cap (64 MiB). A paper-sized PPN step peaks near 20 MB; before the fused
+//! ops and leaf-only gradients it held about 94 MB, so every step sent
+//! about 65 MB of buffers back to the system allocator. The
+//! `tensor.arena_hits` / `tensor.alloc_bytes` counters flushed at the end of
+//! every backward sweep, and [`Graph::tape_stats`], show which case holds.
+//! Within a sweep, backward arms write into the gradient they own or into
+//! recycled buffers through [`crate::tensor::Tensor::add_assign`] instead of
+//! allocating fresh intermediates (the `ppn-check` `no-hot-alloc` rule
+//! keeps it that way).
 //!
 //! Typical training-step usage:
 //!
@@ -36,6 +61,7 @@
 //! ```
 
 use crate::conv::{conv2d_forward, conv2d_grad_w, conv2d_grad_x, Dilation, Padding};
+use crate::fused::{self, MASK_BITS};
 use crate::shape;
 use crate::storage::Storage;
 use crate::tensor::Tensor;
@@ -45,14 +71,13 @@ use rand::Rng;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NodeId(pub(crate) usize);
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 #[allow(dead_code)] // some payloads (e.g. the AddScalar constant) exist for Debug introspection only
 enum Op {
     Leaf,
     Add(NodeId, NodeId),
     Sub(NodeId, NodeId),
     Mul(NodeId, NodeId),
-    Div(NodeId, NodeId),
     Neg(NodeId),
     Scale(NodeId, f64),
     AddScalar(NodeId, f64),
@@ -60,20 +85,62 @@ enum Op {
     Sigmoid(NodeId),
     Tanh(NodeId),
     Relu(NodeId),
-    Exp(NodeId),
     Log(NodeId),
     Abs(NodeId),
     Square(NodeId),
-    Sqrt(NodeId),
     Softmax(NodeId),
     Sum(NodeId),
     Mean(NodeId),
     SumAxis(NodeId, usize),
     Concat(Vec<NodeId>, usize),
-    Slice { x: NodeId, axis: usize, start: usize, end: usize },
+    Slice {
+        x: NodeId,
+        axis: usize,
+        start: usize,
+        end: usize,
+    },
     Reshape(NodeId),
     Permute(NodeId, Vec<usize>),
-    Conv2d { x: NodeId, w: NodeId, dilation: Dilation, pad: Padding },
+    Conv2d {
+        x: NodeId,
+        w: NodeId,
+        dilation: Dilation,
+        pad: Padding,
+    },
+    /// `relu((x + bias) · m)`; `mask` is `None` when dropout is off.
+    BiasDropoutRelu {
+        x: NodeId,
+        bias: NodeId,
+        mask: Option<Dropout>,
+    },
+    /// LSTM gate activations `[i | f | ĉ | o]` of `z = (xw + hu) + bias`.
+    LstmGates {
+        xw: NodeId,
+        hu: NodeId,
+        bias: NodeId,
+        hidden: usize,
+    },
+    /// LSTM cell `c = f·c_prev + i·ĉ`.
+    LstmCell {
+        gates: NodeId,
+        c_prev: NodeId,
+        hidden: usize,
+    },
+    /// LSTM hidden state `h = o·tanh(c)`, keeping `tanh(c)`.
+    LstmHidden {
+        gates: NodeId,
+        cell: NodeId,
+        hidden: usize,
+        tanh_c: Tensor,
+    },
+}
+
+/// Where a dropout node's mask bits live in [`Graph::masks`], and the
+/// survivors' scale `1/(1−p)`.
+#[derive(Debug, Clone, Copy)]
+struct Dropout {
+    word: usize,
+    scale: f64,
 }
 
 struct Node {
@@ -87,6 +154,9 @@ struct Node {
 #[derive(Default)]
 pub struct Graph {
     nodes: Vec<Node>,
+    /// Dropout mask bits of every [`Op::BiasDropoutRelu`] node, packed
+    /// `MASK_BITS` to a word, one word-aligned run per node.
+    masks: Vec<u64>,
 }
 
 /// Size summary of a tape, reported by [`Graph::tape_stats`].
@@ -103,7 +173,7 @@ pub struct TapeStats {
 impl Graph {
     /// Empty tape.
     pub fn new() -> Self {
-        Graph { nodes: Vec::with_capacity(256) }
+        Graph { nodes: Vec::with_capacity(256), masks: Vec::new() }
     }
 
     /// Number of nodes currently on the tape.
@@ -116,12 +186,13 @@ impl Graph {
         self.nodes.is_empty()
     }
 
-    /// Clears the tape for reuse, keeping its node allocation. Dropping the
-    /// nodes parks their value/grad buffers in the thread-local arena, so
-    /// the next sweep over the same network rebinds them instead of
-    /// allocating (see the module docs).
+    /// Clears the tape for reuse, keeping its node and mask allocations.
+    /// Dropping the nodes parks their value/grad buffers in the
+    /// thread-local arena, so the next sweep over the same network rebinds
+    /// them instead of allocating (see the module docs).
     pub fn reset(&mut self) {
         self.nodes.clear();
+        self.masks.clear();
     }
 
     /// Aggregate tape size: what the buffer-reuse plan holds live.
@@ -149,8 +220,12 @@ impl Graph {
         &self.nodes[id.0].value
     }
 
-    /// Gradient of a node after [`Graph::backward`]; `None` if the node does
+    /// Gradient of a leaf after [`Graph::backward`]; `None` if the node does
     /// not require grad or was not reached.
+    ///
+    /// Only leaves ([`Graph::param`]) keep their gradient: the sweep drops
+    /// each interior node's gradient once it has been propagated, so this
+    /// is `None` for every node an op produced.
     pub fn grad(&self, id: NodeId) -> Option<&Tensor> {
         self.nodes[id.0].grad.as_ref()
     }
@@ -192,13 +267,6 @@ impl Graph {
         let v = self.value(a).mul(self.value(b));
         let rg = self.rg(a) || self.rg(b);
         self.push(Op::Mul(a, b), v, rg)
-    }
-
-    /// Elementwise division with broadcasting.
-    pub fn div(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.value(a).div(self.value(b));
-        let rg = self.rg(a) || self.rg(b);
-        self.push(Op::Div(a, b), v, rg)
     }
 
     /// Negation.
@@ -243,13 +311,6 @@ impl Graph {
         self.push(Op::Relu(x), v, rg)
     }
 
-    /// Elementwise exponential.
-    pub fn exp(&mut self, x: NodeId) -> NodeId {
-        let v = self.value(x).map(f64::exp);
-        let rg = self.rg(x);
-        self.push(Op::Exp(x), v, rg)
-    }
-
     /// Elementwise natural logarithm.
     ///
     /// # Panics
@@ -273,13 +334,6 @@ impl Graph {
         let v = self.value(x).map(|v| v * v);
         let rg = self.rg(x);
         self.push(Op::Square(x), v, rg)
-    }
-
-    /// Elementwise square root.
-    pub fn sqrt(&mut self, x: NodeId) -> NodeId {
-        let v = self.value(x).map(f64::sqrt);
-        let rg = self.rg(x);
-        self.push(Op::Sqrt(x), v, rg)
     }
 
     // ------------------------------------------------------------------
@@ -428,7 +482,7 @@ impl Graph {
     }
 
     // ------------------------------------------------------------------
-    // Convolution / dropout
+    // Convolution and fused layer glue
     // ------------------------------------------------------------------
 
     /// Stride-1 2-D convolution (NCHW input, OIHW kernel) with dilation and
@@ -439,26 +493,125 @@ impl Graph {
         self.push(Op::Conv2d { x, w, dilation, pad }, v, rg)
     }
 
-    /// Inverted dropout. In training mode each element is zeroed with
-    /// probability `p` and survivors are scaled by `1/(1-p)`; in eval mode it
-    /// is the identity.
-    pub fn dropout<R: Rng>(&mut self, x: NodeId, p: f64, training: bool, rng: &mut R) -> NodeId {
+    /// `relu((x + bias) · m)` as one node: the per-channel bias of a
+    /// convolution, inverted dropout and a ReLU.
+    ///
+    /// `x` is `(B, C, H, W)` and `bias` is `(C, 1, 1)`. In training mode
+    /// with `p > 0`, `m` is `1/(1−p)` for each element that survives and `0`
+    /// for each one dropped; the op draws one `rng.gen::<f64>()` per
+    /// element in flat order (survival is `u < 1 − p`) and keeps the mask
+    /// as bits. Otherwise no `m` is applied and `rng` is not touched.
+    ///
+    /// # Panics
+    /// Panics unless `p` is in `[0, 1)` and the shapes are as above.
+    pub fn bias_dropout_relu<R: Rng>(
+        &mut self,
+        x: NodeId,
+        bias: NodeId,
+        p: f64,
+        training: bool,
+        rng: &mut R,
+    ) -> NodeId {
         assert!((0.0..1.0).contains(&p), "dropout rate {p}");
-        if !training || crate::approx::is_zero(p) {
-            return x;
-        }
-        let keep = 1.0 - p;
-        let mask_t = {
-            let t = self.value(x);
-            let data = t
-                .data()
-                .iter()
-                .map(|_| if rng.gen::<f64>() < keep { 1.0 / keep } else { 0.0 })
-                .collect();
-            Tensor::from_vec(t.shape(), data)
+        let xs = self.value(x).shape().to_vec();
+        assert!(
+            xs.len() == 4 && self.value(bias).shape() == [xs[1], 1, 1],
+            "bias_dropout_relu wants (B, C, H, W) and (C, 1, 1), got {xs:?} and {:?}",
+            self.value(bias).shape()
+        );
+        let n = self.value(x).len();
+        let mask = (training && !crate::approx::is_zero(p)).then(|| {
+            let keep = 1.0 - p;
+            let word = self.masks.len();
+            self.masks.resize(word + n.div_ceil(MASK_BITS), 0);
+            for e in 0..n {
+                if rng.gen::<f64>() < keep {
+                    self.masks[word + e / MASK_BITS] |= 1 << (e % MASK_BITS);
+                }
+            }
+            Dropout { word, scale: 1.0 / keep }
+        });
+        let mut out = Storage::uninit(n);
+        fused::bias_dropout_relu(
+            self.value(x).data(),
+            self.value(bias).data(),
+            xs[2] * xs[3],
+            mask.map(|m| (&self.masks[m.word..], m.scale)),
+            &mut out,
+        );
+        let rg = self.rg(x) || self.rg(bias);
+        self.push(Op::BiasDropoutRelu { x, bias, mask }, Tensor::from_storage(&xs, out), rg)
+    }
+
+    /// One LSTM step as three nodes; returns `(h, c)`.
+    ///
+    /// `xw = x·W` and `hu = h_prev·U` are `(B, 4H)` matmul nodes, `bias` is
+    /// `(4H,)` and `c_prev` is `(B, H)`. The gates `[i | f | ĉ | o]` are
+    /// sigmoid, sigmoid, tanh, sigmoid of `z = (xw + hu) + bias`; then
+    /// `c = f·c_prev + i·ĉ` and `h = o·tanh(c)`.
+    ///
+    /// # Panics
+    /// Panics if the shapes disagree.
+    pub fn lstm_step(
+        &mut self,
+        xw: NodeId,
+        hu: NodeId,
+        bias: NodeId,
+        c_prev: NodeId,
+    ) -> (NodeId, NodeId) {
+        let zs = self.value(xw).shape().to_vec();
+        let (rows, hidden) = match zs[..] {
+            [rows, width] => (rows, width / 4),
+            _ => (0, 0),
         };
-        let mask = self.leaf(mask_t);
-        self.mul(x, mask)
+        assert!(
+            zs == [rows, 4 * hidden]
+                && self.value(hu).shape() == zs
+                && self.value(bias).shape() == [4 * hidden]
+                && self.value(c_prev).shape() == [rows, hidden],
+            "lstm_step shapes: xw {zs:?}, hu {:?}, bias {:?}, c_prev {:?}",
+            self.value(hu).shape(),
+            self.value(bias).shape(),
+            self.value(c_prev).shape()
+        );
+        let mut z = Storage::uninit(rows * 4 * hidden);
+        fused::lstm_gates(
+            self.value(xw).data(),
+            self.value(hu).data(),
+            self.value(bias).data(),
+            hidden,
+            &mut z,
+        );
+        let rg = self.rg(xw) || self.rg(hu) || self.rg(bias);
+        let gates =
+            self.push(Op::LstmGates { xw, hu, bias, hidden }, Tensor::from_storage(&zs, z), rg);
+
+        let mut c = Storage::uninit(rows * hidden);
+        fused::lstm_cell(self.value(gates).data(), self.value(c_prev).data(), hidden, &mut c);
+        let rg = rg || self.rg(c_prev);
+        let cell = self.push(
+            Op::LstmCell { gates, c_prev, hidden },
+            Tensor::from_storage(&[rows, hidden], c),
+            rg,
+        );
+
+        let mut tanh_c = Storage::uninit(rows * hidden);
+        let mut h = Storage::uninit(rows * hidden);
+        fused::lstm_hidden(
+            self.value(gates).data(),
+            self.value(cell).data(),
+            hidden,
+            &mut tanh_c,
+            &mut h,
+        );
+        let op = Op::LstmHidden {
+            gates,
+            cell,
+            hidden,
+            tanh_c: Tensor::from_storage(&[rows, hidden], tanh_c),
+        };
+        let h = self.push(op, Tensor::from_storage(&[rows, hidden], h), rg);
+        (h, cell)
     }
 
     // ------------------------------------------------------------------
@@ -466,7 +619,8 @@ impl Graph {
     // ------------------------------------------------------------------
 
     /// Runs the reverse sweep from `output`, which must be a scalar node.
-    /// Gradients accumulate into every `requires_grad` node reachable from it.
+    /// Gradients accumulate into every `requires_grad` leaf reachable from
+    /// it (see [`Graph::grad`]).
     ///
     /// # Panics
     /// Panics if `output` is not a scalar.
@@ -488,104 +642,92 @@ impl Graph {
         }
         self.nodes[output.0].grad = Some(seed);
         for i in (0..=output.0).rev() {
-            if !self.nodes[i].requires_grad {
+            let node = &mut self.nodes[i];
+            if !node.requires_grad || matches!(node.op, Op::Leaf) {
                 continue;
             }
-            let Some(g) = self.nodes[i].grad.take() else { continue };
-            self.propagate(i, &g);
-            self.nodes[i].grad = Some(g);
+            // Taking the gradient out drops it once propagated: only leaves
+            // keep theirs.
+            let Some(g) = node.grad.take() else { continue };
+            self.propagate(i, g);
         }
         crate::storage::flush_obs_counters();
     }
 
-    fn accumulate(&mut self, id: NodeId, delta: Tensor) {
-        if !self.nodes[id.0].requires_grad {
-            return;
-        }
-        match &mut self.nodes[id.0].grad {
-            // Same-shape accumulation reuses the existing buffer in place
-            // (bit-identical to `g.add(&delta)` for equal shapes).
-            Some(g) if g.shape() == delta.shape() => g.add_assign(&delta),
-            Some(g) => *g = g.add(&delta),
-            slot @ None => *slot = Some(delta),
-        }
-    }
-
-    /// Reduces `grad` (shaped like the broadcast output) back down to
-    /// `target` by summing over broadcast dimensions.
-    fn reduce_to(grad: &Tensor, target: &[usize]) -> Tensor {
-        grad.reduce_broadcast(target)
-    }
-
-    fn propagate(&mut self, i: usize, g: &Tensor) {
-        let op = self.nodes[i].op.clone();
-        match op {
+    /// Propagates node `i`'s gradient `g` to its operands. Operands always
+    /// precede their node on the tape, so the sweep splits the tape at `i`:
+    /// the node is read in place (no clone of its `Op`) while the operands
+    /// before it receive gradients. An operand that does not require a
+    /// gradient gets none computed.
+    fn propagate(&mut self, i: usize, mut g: Tensor) {
+        let Graph { nodes, masks } = self;
+        let (inputs, rest) = nodes.split_at_mut(i);
+        let node = &rest[0];
+        let y = &node.value;
+        match &node.op {
             Op::Leaf => {}
             Op::Add(a, b) => {
-                let ga = Self::reduce_to(g, self.value(a).shape());
-                let gb = Self::reduce_to(g, self.value(b).shape());
-                self.accumulate(a, ga);
-                self.accumulate(b, gb);
+                let (ga, gb) = route2(g, shape_if(inputs, a), shape_if(inputs, b));
+                accumulate(inputs, *a, ga);
+                accumulate(inputs, *b, gb);
             }
             Op::Sub(a, b) => {
-                let ga = Self::reduce_to(g, self.value(a).shape());
-                let gb = Self::reduce_to(&g.scale(-1.0), self.value(b).shape());
-                self.accumulate(a, ga);
-                self.accumulate(b, gb);
+                // `b` gets `−g` summed down, negated before the reduction
+                // (negating a sum of zeros would flip its sign).
+                let (ga, gb) = match (shape_if(inputs, a), shape_if(inputs, b)) {
+                    (sa, Some(sb)) => {
+                        let ga = sa.map(|sa| g.reduce_broadcast(sa));
+                        g.map_assign(|v| -v);
+                        (ga, Some(reduce_into(g, sb)))
+                    }
+                    (sa, None) => (sa.map(|sa| reduce_into(g, sa)), None),
+                };
+                accumulate(inputs, *a, ga);
+                accumulate(inputs, *b, gb);
             }
             Op::Mul(a, b) => {
-                let ga = Self::reduce_to(&g.mul(self.value(b)), self.value(a).shape());
-                let gb = Self::reduce_to(&g.mul(self.value(a)), self.value(b).shape());
-                self.accumulate(a, ga);
-                self.accumulate(b, gb);
+                let (va, vb) = (&inputs[a.0].value, &inputs[b.0].value);
+                let ga = wants(inputs, a).then(|| reduce_into(g.mul(vb), va.shape()));
+                let gb = wants(inputs, b).then(|| reduce_into(g.mul(va), vb.shape()));
+                accumulate(inputs, *a, ga);
+                accumulate(inputs, *b, gb);
             }
-            Op::Div(a, b) => {
-                // Borrow the operand values in a scope that ends before the
-                // mutable accumulate calls — no defensive clones.
-                let (ga, gb) = {
-                    let va = self.value(a);
-                    let vb = self.value(b);
-                    let ga = Self::reduce_to(&g.div(vb), va.shape());
-                    let gb_full = g.mul(va).div(&vb.mul(vb)).scale(-1.0);
-                    (ga, Self::reduce_to(&gb_full, vb.shape()))
-                };
-                self.accumulate(a, ga);
-                self.accumulate(b, gb);
+            Op::Neg(x) => {
+                g.map_assign(|v| -v);
+                accumulate(inputs, *x, Some(g));
             }
-            Op::Neg(x) => self.accumulate(x, g.scale(-1.0)),
-            Op::Scale(x, s) => self.accumulate(x, g.scale(s)),
-            Op::AddScalar(x, _) => self.accumulate(x, g.clone()),
+            Op::Scale(x, s) => {
+                g.map_assign(|v| v * s);
+                accumulate(inputs, *x, Some(g));
+            }
+            Op::AddScalar(x, _) => accumulate(inputs, *x, Some(g)),
             Op::MatMul(a, b) => {
                 // dA = G Bᵀ, dB = Aᵀ G
-                let ga = g.matmul(&self.value(b).transpose2());
-                let gb = self.value(a).transpose2().matmul(g);
-                self.accumulate(a, ga);
-                self.accumulate(b, gb);
+                let (va, vb) = (&inputs[a.0].value, &inputs[b.0].value);
+                let ga = wants(inputs, a).then(|| g.matmul(&vb.transpose2()));
+                let gb = wants(inputs, b).then(|| va.transpose2().matmul(&g));
+                accumulate(inputs, *a, ga);
+                accumulate(inputs, *b, gb);
             }
+            // Unary ops: g ← g · f′ in the gradient's own buffer.
             Op::Sigmoid(x) => {
-                let y = &self.nodes[i].value;
-                let d = y.map(|v| v * (1.0 - v));
-                self.accumulate(x, g.mul(&d));
+                g.zip_assign(y, |g, v| g * (v * (1.0 - v)));
+                accumulate(inputs, *x, Some(g));
             }
             Op::Tanh(x) => {
-                let y = &self.nodes[i].value;
-                let d = y.map(|v| 1.0 - v * v);
-                self.accumulate(x, g.mul(&d));
+                g.zip_assign(y, |g, v| g * (1.0 - v * v));
+                accumulate(inputs, *x, Some(g));
             }
             Op::Relu(x) => {
-                let d = self.value(x).map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-                self.accumulate(x, g.mul(&d));
-            }
-            Op::Exp(x) => {
-                let gx = g.mul(&self.nodes[i].value);
-                self.accumulate(x, gx);
+                g.zip_assign(&inputs[x.0].value, |g, v| g * if v > 0.0 { 1.0 } else { 0.0 });
+                accumulate(inputs, *x, Some(g));
             }
             Op::Log(x) => {
-                let d = self.value(x).map(|v| 1.0 / v);
-                self.accumulate(x, g.mul(&d));
+                g.zip_assign(&inputs[x.0].value, |g, v| g * (1.0 / v));
+                accumulate(inputs, *x, Some(g));
             }
             Op::Abs(x) => {
-                let d = self.value(x).map(|v| {
+                let sign = |v: f64| {
                     if v > 0.0 {
                         1.0
                     } else if v < 0.0 {
@@ -593,52 +735,41 @@ impl Graph {
                     } else {
                         0.0
                     }
-                });
-                self.accumulate(x, g.mul(&d));
+                };
+                g.zip_assign(&inputs[x.0].value, |g, v| g * sign(v));
+                accumulate(inputs, *x, Some(g));
             }
             Op::Square(x) => {
-                let d = self.value(x).scale(2.0);
-                self.accumulate(x, g.mul(&d));
-            }
-            Op::Sqrt(x) => {
-                let y = &self.nodes[i].value;
-                let d = y.map(|v| 0.5 / v.max(1e-300));
-                self.accumulate(x, g.mul(&d));
+                g.zip_assign(&inputs[x.0].value, |g, v| g * (v * 2.0));
+                accumulate(inputs, *x, Some(g));
             }
             Op::Softmax(x) => {
-                // Per-row: dx = y ⊙ (g − ⟨g, y⟩)
-                let gx = {
-                    let y = &self.nodes[i].value;
-                    // ppn-check: allow(no-panic) invariant: softmax output keeps its input's rank >= 1
-                    let last = *y.shape().last().expect("softmax output has rank >= 1");
-                    let rows = y.len() / last;
-                    let mut dx = Storage::uninit(y.len());
-                    for r in 0..rows {
-                        let yr = &y.data()[r * last..(r + 1) * last];
-                        let gr = &g.data()[r * last..(r + 1) * last];
-                        let dot: f64 = yr.iter().zip(gr).map(|(a, b)| a * b).sum();
-                        for j in 0..last {
-                            dx[r * last + j] = yr[j] * (gr[j] - dot);
-                        }
+                // Per-row: dx = y ⊙ (g − ⟨g, y⟩), written over g.
+                // ppn-check: allow(no-panic) invariant: softmax output keeps its input's rank >= 1
+                let last = *y.shape().last().expect("softmax output has rank >= 1");
+                for (yr, gr) in y.data().chunks_exact(last).zip(g.data_mut().chunks_exact_mut(last))
+                {
+                    let dot: f64 = yr.iter().zip(gr.iter()).map(|(a, b)| a * b).sum();
+                    for (d, &yv) in gr.iter_mut().zip(yr) {
+                        *d = yv * (*d - dot);
                     }
-                    Tensor::from_storage(y.shape(), dx)
-                };
-                self.accumulate(x, gx);
+                }
+                accumulate(inputs, *x, Some(g));
             }
             Op::Sum(x) => {
-                let gx = Tensor::full(self.value(x).shape(), g.item());
-                self.accumulate(x, gx);
+                let gx = Tensor::full(inputs[x.0].value.shape(), g.item());
+                accumulate(inputs, *x, Some(gx));
             }
             Op::Mean(x) => {
-                let n = self.value(x).len() as f64;
-                let gx = Tensor::full(self.value(x).shape(), g.item() / n);
-                self.accumulate(x, gx);
+                let xv = &inputs[x.0].value;
+                let gx = Tensor::full(xv.shape(), g.item() / xv.len() as f64);
+                accumulate(inputs, *x, Some(gx));
             }
             Op::SumAxis(x, axis) => {
                 // Broadcast the reduced gradient back along the removed axis.
-                let xs = self.value(x).shape().to_vec();
-                let outer: usize = xs[..axis].iter().product();
-                let mid = xs[axis];
+                let xs = inputs[x.0].value.shape();
+                let outer: usize = xs[..*axis].iter().product();
+                let mid = xs[*axis];
                 let inner: usize = xs[axis + 1..].iter().product();
                 let mut gx = Storage::uninit(outer * mid * inner);
                 for o in 0..outer {
@@ -647,31 +778,35 @@ impl Graph {
                         gx[(o * mid + m) * inner..(o * mid + m + 1) * inner].copy_from_slice(src);
                     }
                 }
-                self.accumulate(x, Tensor::from_storage(&xs, gx));
+                let gx = Tensor::from_storage(xs, gx);
+                accumulate(inputs, *x, Some(gx));
             }
             Op::Concat(xs, axis) => {
-                let out_shape = self.nodes[i].value.shape().to_vec();
-                let outer: usize = out_shape[..axis].iter().product();
+                let out_shape = y.shape();
+                let outer: usize = out_shape[..*axis].iter().product();
                 let inner: usize = out_shape[axis + 1..].iter().product();
-                let row_out = out_shape[axis] * inner;
+                let row_out = out_shape[*axis] * inner;
                 let mut base = 0usize;
                 for x in xs {
-                    let s = self.value(x).shape().to_vec();
-                    let chunk = s[axis] * inner;
-                    let mut gx = Storage::uninit(outer * chunk);
-                    for o in 0..outer {
-                        gx[o * chunk..(o + 1) * chunk].copy_from_slice(
-                            &g.data()[o * row_out + base..o * row_out + base + chunk],
-                        );
-                    }
+                    let s = inputs[x.0].value.shape();
+                    let chunk = s[*axis] * inner;
+                    let gx = wants(inputs, x).then(|| {
+                        let mut gx = Storage::uninit(outer * chunk);
+                        for o in 0..outer {
+                            gx[o * chunk..(o + 1) * chunk].copy_from_slice(
+                                &g.data()[o * row_out + base..o * row_out + base + chunk],
+                            );
+                        }
+                        Tensor::from_storage(s, gx)
+                    });
                     base += chunk;
-                    self.accumulate(x, Tensor::from_storage(&s, gx));
+                    accumulate(inputs, *x, gx);
                 }
             }
             Op::Slice { x, axis, start, end } => {
-                let s = self.value(x).shape().to_vec();
-                let outer: usize = s[..axis].iter().product();
-                let mid = s[axis];
+                let s = inputs[x.0].value.shape();
+                let outer: usize = s[..*axis].iter().product();
+                let mid = s[*axis];
                 let inner: usize = s[axis + 1..].iter().product();
                 let take = (end - start) * inner;
                 // Zeroed, not uninit: only the sliced range is overwritten.
@@ -680,11 +815,12 @@ impl Graph {
                     let dst = o * mid * inner + start * inner;
                     gx[dst..dst + take].copy_from_slice(&g.data()[o * take..(o + 1) * take]);
                 }
-                self.accumulate(x, Tensor::from_storage(&s, gx));
+                let gx = Tensor::from_storage(s, gx);
+                accumulate(inputs, *x, Some(gx));
             }
             Op::Reshape(x) => {
-                let s = self.value(x).shape().to_vec();
-                self.accumulate(x, g.reshape(&s));
+                let gx = g.into_shape(inputs[x.0].value.shape());
+                accumulate(inputs, *x, Some(gx));
             }
             Op::Permute(x, perm) => {
                 // Inverse permutation routes the gradient back; the inverse
@@ -695,23 +831,112 @@ impl Graph {
                     }
                     g.permute(inv)
                 });
-                self.accumulate(x, gx);
+                accumulate(inputs, *x, Some(gx));
             }
             Op::Conv2d { x, w, dilation, pad } => {
                 // The first conv of a net reads a data leaf, whose grad-x
                 // nobody reads, so it is not computed. One `tensor.conv_ms`
                 // observation covers the whole node.
                 let timer = crate::tensor::kernel_timer();
-                let (xv, wv) = (self.value(x), self.value(w));
-                let gx = self.rg(x).then(|| conv2d_grad_x(xv, wv, g, dilation, pad));
-                let gw = conv2d_grad_w(xv, wv, g, dilation, pad);
+                let (xv, wv) = (&inputs[x.0].value, &inputs[w.0].value);
+                let gx = wants(inputs, x).then(|| conv2d_grad_x(xv, wv, &g, *dilation, *pad));
+                let gw = wants(inputs, w).then(|| conv2d_grad_w(xv, wv, &g, *dilation, *pad));
                 crate::tensor::observe_kernel_ms("tensor.conv_ms", timer);
-                if let Some(gx) = gx {
-                    self.accumulate(x, gx);
-                }
-                self.accumulate(w, gw);
+                accumulate(inputs, *x, gx);
+                accumulate(inputs, *w, gw);
+            }
+            Op::BiasDropoutRelu { x, bias, mask } => {
+                let mask = mask.map(|m| (&masks[m.word..], m.scale));
+                let plane = y.shape()[2] * y.shape()[3];
+                let bs = shape_if(inputs, bias);
+                let mut gb = bs.map(|s| Storage::zeroed(shape::numel(s)));
+                fused::bias_dropout_relu_grad(
+                    g.data_mut(),
+                    y.data(),
+                    plane,
+                    mask,
+                    gb.as_deref_mut(),
+                );
+                let gb = bs.zip(gb).map(|(s, gb)| Tensor::from_storage(s, gb));
+                accumulate(inputs, *bias, gb);
+                accumulate(inputs, *x, Some(g));
+            }
+            Op::LstmGates { xw, hu, bias, hidden } => {
+                let bs = shape_if(inputs, bias);
+                let mut gb = bs.map(|s| Storage::zeroed(shape::numel(s)));
+                fused::lstm_gates_grad(g.data_mut(), y.data(), *hidden, gb.as_deref_mut());
+                let gb = bs.zip(gb).map(|(s, gb)| Tensor::from_storage(s, gb));
+                let (gxw, ghu) = route2(g, shape_if(inputs, xw), shape_if(inputs, hu));
+                accumulate(inputs, *xw, gxw);
+                accumulate(inputs, *hu, ghu);
+                accumulate(inputs, *bias, gb);
+            }
+            Op::LstmCell { gates, c_prev, hidden } => {
+                let mut gg = Storage::uninit(g.len() * 4);
+                let zv = &inputs[gates.0].value;
+                let cv = inputs[c_prev.0].value.data();
+                fused::lstm_cell_grad(g.data_mut(), zv.data(), cv, *hidden, &mut gg);
+                let gg = Tensor::from_storage(zv.shape(), gg);
+                accumulate(inputs, *gates, Some(gg));
+                accumulate(inputs, *c_prev, wants(inputs, c_prev).then_some(g));
+            }
+            Op::LstmHidden { gates, cell, hidden, tanh_c } => {
+                let mut gg = Storage::uninit(g.len() * 4);
+                let zv = &inputs[gates.0].value;
+                fused::lstm_hidden_grad(g.data_mut(), zv.data(), tanh_c.data(), *hidden, &mut gg);
+                let gg = Tensor::from_storage(zv.shape(), gg);
+                accumulate(inputs, *gates, Some(gg));
+                accumulate(inputs, *cell, Some(g));
             }
         }
+    }
+}
+
+/// Adds `delta` into node `id`'s gradient (`None`: nothing to add).
+fn accumulate(nodes: &mut [Node], id: NodeId, delta: Option<Tensor>) {
+    let node = &mut nodes[id.0];
+    let Some(delta) = delta else { return };
+    if !node.requires_grad {
+        return;
+    }
+    match &mut node.grad {
+        // Same-shape accumulation reuses the existing buffer in place
+        // (bit-identical to `g.add(&delta)` for equal shapes).
+        Some(g) if g.shape() == delta.shape() => g.add_assign(&delta),
+        Some(g) => *g = g.add(&delta),
+        slot @ None => *slot = Some(delta),
+    }
+}
+
+/// Whether operand `id` wants a gradient.
+fn wants(nodes: &[Node], id: &NodeId) -> bool {
+    nodes[id.0].requires_grad
+}
+
+/// The operand's shape when it wants a gradient.
+fn shape_if<'a>(nodes: &'a [Node], id: &NodeId) -> Option<&'a [usize]> {
+    let n = &nodes[id.0];
+    n.requires_grad.then(|| n.value.shape())
+}
+
+/// `g` summed down to `target` over broadcast dims; `g` itself, not a copy,
+/// when the shapes already match.
+fn reduce_into(g: Tensor, target: &[usize]) -> Tensor {
+    if g.shape() == target {
+        g
+    } else {
+        g.reduce_broadcast(target)
+    }
+}
+
+/// Routes `g` to two operands shaped `a` and `b` (`None`: not wanted). The
+/// last operand that wants it takes `g` itself, so a same-shape gradient is
+/// copied only when both operands need it.
+fn route2(g: Tensor, a: Option<&[usize]>, b: Option<&[usize]>) -> (Option<Tensor>, Option<Tensor>) {
+    match (a, b) {
+        (Some(a), Some(b)) => (Some(g.reduce_broadcast(a)), Some(reduce_into(g, b))),
+        (Some(a), None) => (Some(reduce_into(g, a)), None),
+        (None, b) => (None, b.map(|b| reduce_into(g, b))),
     }
 }
 
@@ -823,12 +1048,44 @@ mod tests {
         use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(3);
         let mut g = Graph::new();
-        let x = g.param(Tensor::ones(&[1000]));
-        let y = g.dropout(x, 0.5, false, &mut rng);
-        assert_eq!(y, x); // eval mode: same node
-        let z = g.dropout(x, 0.5, true, &mut rng);
+        let x = g.param(Tensor::ones(&[1, 1, 10, 100]));
+        let b = g.param(Tensor::zeros(&[1, 1, 1]));
+        // Eval mode: relu(x + b) = x, and the rng is not touched.
+        let before = rng.clone().gen::<u64>();
+        let y = g.bias_dropout_relu(x, b, 0.5, false, &mut rng);
+        assert_eq!(g.value(y), g.value(x));
+        assert_eq!(rng.clone().gen::<u64>(), before);
+        let z = g.bias_dropout_relu(x, b, 0.5, true, &mut rng);
         let m = g.value(z).mean();
         assert!((m - 1.0).abs() < 0.1, "inverted dropout keeps the mean, got {m}");
+        assert!(g.value(z).data().iter().all(|&v| v == 0.0 || v == 2.0));
+    }
+
+    #[test]
+    fn interior_gradients_are_dropped_and_leaves_keep_theirs() {
+        let mut g = Graph::new();
+        let x = g.param(Tensor::from_vec(&[2], vec![1.0, -2.0]));
+        let c = g.leaf(Tensor::from_vec(&[2], vec![3.0, 4.0]));
+        let y = g.mul(x, c);
+        let s = g.sum(y);
+        g.backward(s);
+        assert_eq!(g.grad(x).unwrap().data(), &[3.0, 4.0]);
+        assert!(g.grad(c).is_none(), "a constant gets no gradient");
+        assert!(g.grad(y).is_none() && g.grad(s).is_none(), "interior grads are freed");
+        assert_eq!(g.tape_stats().grad_elems, 2);
+    }
+
+    #[test]
+    fn sub_broadcast_grad_negates_before_summing() {
+        // −(0 + 0) is −0 but (−0) + (−0) summed from +0 is +0: the
+        // subtrahend's gradient is reduced from −g, not negated after.
+        let mut g = Graph::new();
+        let x = g.param(Tensor::zeros(&[2]));
+        let m = g.param(Tensor::scalar(1.0));
+        let y = g.sub(x, m);
+        g.backward_with(y, Tensor::zeros(&[2]));
+        assert_eq!(g.grad(m).unwrap().item().to_bits(), 0.0f64.to_bits());
+        assert_eq!(g.grad(x).unwrap().data(), &[0.0, 0.0]);
     }
 
     #[test]

@@ -81,6 +81,21 @@ impl Conv2dLayer {
         let y = g.conv2d(x, bind.node(self.w), self.dilation, self.padding());
         g.add(y, bind.node(self.b))
     }
+
+    /// Convolution, then bias, inverted dropout at rate `p` (training only)
+    /// and ReLU as one fused node ([`Graph::bias_dropout_relu`]).
+    pub fn forward_dropout_relu<R: Rng>(
+        &self,
+        g: &mut Graph,
+        bind: &Binding,
+        x: NodeId,
+        p: f64,
+        training: bool,
+        rng: &mut R,
+    ) -> NodeId {
+        let y = g.conv2d(x, bind.node(self.w), self.dilation, self.padding());
+        g.bias_dropout_relu(y, bind.node(self.b), p, training, rng)
+    }
 }
 
 #[cfg(test)]

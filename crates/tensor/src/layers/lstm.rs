@@ -45,53 +45,24 @@ impl Lstm {
         Lstm { w, u, b, in_dim, hidden }
     }
 
-    /// Runs the recurrence over `xs` (one `(B, in)` node per timestep) and
-    /// returns the final hidden state `(B, H)`.
+    /// Runs the recurrence from a zero state over `xs` (one `(B, in)` node
+    /// per timestep) and returns the final hidden state `(B, H)`. Each step
+    /// is two matmuls and one fused [`Graph::lstm_step`].
     ///
     /// # Panics
     /// Panics if `xs` is empty.
     pub fn forward(&self, g: &mut Graph, bind: &Binding, xs: &[NodeId]) -> NodeId {
         assert!(!xs.is_empty(), "LSTM needs at least one timestep");
         let batch = g.value(xs[0]).shape()[0];
-        let h0 = g.leaf(Tensor::zeros(&[batch, self.hidden]));
-        let c0 = g.leaf(Tensor::zeros(&[batch, self.hidden]));
-        let (h, _c) = self.forward_from(g, bind, xs, h0, c0);
-        h
-    }
-
-    /// Recurrence with explicit initial state; returns `(h_T, c_T)`.
-    pub fn forward_from(
-        &self,
-        g: &mut Graph,
-        bind: &Binding,
-        xs: &[NodeId],
-        h0: NodeId,
-        c0: NodeId,
-    ) -> (NodeId, NodeId) {
-        let hn = self.hidden;
         let (wn, un, bn) = (bind.node(self.w), bind.node(self.u), bind.node(self.b));
-        let mut h = h0;
-        let mut c = c0;
+        let mut h = g.leaf(Tensor::zeros(&[batch, self.hidden]));
+        let mut c = g.leaf(Tensor::zeros(&[batch, self.hidden]));
         for &x in xs {
             let xw = g.matmul(x, wn);
             let hu = g.matmul(h, un);
-            let z0 = g.add(xw, hu);
-            let z = g.add(z0, bn); // (B, 4H)
-            let zi = g.slice(z, 1, 0, hn);
-            let zf = g.slice(z, 1, hn, 2 * hn);
-            let zc = g.slice(z, 1, 2 * hn, 3 * hn);
-            let zo = g.slice(z, 1, 3 * hn, 4 * hn);
-            let i = g.sigmoid(zi);
-            let f = g.sigmoid(zf);
-            let chat = g.tanh(zc);
-            let o = g.sigmoid(zo);
-            let fc = g.mul(f, c);
-            let ic = g.mul(i, chat);
-            c = g.add(fc, ic);
-            let tc = g.tanh(c);
-            h = g.mul(o, tc);
+            (h, c) = g.lstm_step(xw, hu, bn, c);
         }
-        (h, c)
+        h
     }
 }
 

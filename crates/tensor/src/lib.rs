@@ -51,6 +51,7 @@
 
 pub mod approx;
 pub mod conv;
+mod fused;
 pub mod gradcheck;
 pub mod graph;
 pub mod init;

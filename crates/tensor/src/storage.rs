@@ -20,10 +20,12 @@
 //! buffers are parked in a thread-local, size-bucketed free list instead of
 //! being returned to the allocator. A subsequent request for the same size
 //! class pops the parked pointer — the "buffer reuse" optimization pass:
-//! after the first sweep, steady-state forward/backward allocates nothing.
+//! after the first sweep, steady-state forward/backward allocates nothing,
+//! as long as one sweep's peak of live buffers fits in the arena.
 //! Buckets are power-of-two element counts from [`MIN_CAP`] up to
 //! 2^22 elements (32 MiB); larger buffers bypass the arena, and at most
-//! [`MAX_HELD_BYTES`] are parked per thread. [`arena_stats`] exposes
+//! [`MAX_HELD_BYTES`] are parked per thread (a buffer released beyond that
+//! is freed, and the next sweep allocates it again). [`arena_stats`] exposes
 //! hit/miss/byte counters, mirrored to `ppn-obs` by [`flush_obs_counters`].
 
 #![allow(unsafe_code)] // audited: raw allocation confined to this module, see module docs

@@ -229,6 +229,30 @@ impl Tensor {
         }
     }
 
+    /// In-place `self[i] = f(self[i], other[i])` over a same-shape tensor:
+    /// the allocation-free form of [`Tensor::zip`] for backward arms that
+    /// own their gradient.
+    pub(crate) fn zip_assign(&mut self, other: &Tensor, f: impl Fn(f64, f64) -> f64) {
+        debug_assert_eq!(self.shape, other.shape, "zip_assign shape mismatch");
+        for (a, &b) in self.data.iter_mut().zip(other.data.iter()) {
+            *a = f(*a, b);
+        }
+    }
+
+    /// In-place `self[i] = f(self[i])`: the allocation-free form of
+    /// [`Tensor::map`].
+    pub(crate) fn map_assign(&mut self, f: impl Fn(f64) -> f64) {
+        for a in self.data.iter_mut() {
+            *a = f(*a);
+        }
+    }
+
+    /// [`Tensor::reshape`] that keeps the buffer instead of copying it.
+    pub(crate) fn into_shape(self, shape: &[usize]) -> Tensor {
+        assert_eq!(numel(shape), self.data.len(), "reshape {:?} -> {:?}", self.shape, shape);
+        Tensor { shape: shape.to_vec(), data: self.data }
+    }
+
     /// Elementwise addition (broadcasting).
     pub fn add(&self, other: &Tensor) -> Tensor {
         self.zip(other, |a, b| a + b)
