@@ -244,8 +244,7 @@ fn lstm_step_matches_on_leaf_inputs() {
 
 #[test]
 fn fused_ops_keep_their_node_count() {
-    // One node for the conv glue and three per LSTM step, where the
-    // primitive chains took three (four with dropout) and thirteen.
+    // One node for the conv glue, three per LSTM step.
     let mut g = Graph::new();
     let x = g.param(Tensor::ones(&[1, 2, 1, 3]));
     let b = g.param(Tensor::zeros(&[2, 1, 1]));
