@@ -60,9 +60,9 @@ fn run(ds: &Dataset, variant: Variant, cfg: NetConfig, steps: usize, batch: usiz
     Pin { rewards, grad_norms, params, act }
 }
 
-fn check(name: &str, got: &Pin, want: (&[u64], &[u64], u64, u64)) {
-    let want =
-        Pin { rewards: want.0.to_vec(), grad_norms: want.1.to_vec(), params: want.2, act: want.3 };
+fn check(got: &Pin, want: &Golden) {
+    let (name, rewards, grad_norms, params, act) = *want;
+    let want = Pin { rewards: rewards.to_vec(), grad_norms: grad_norms.to_vec(), params, act };
     assert!(
         *got == want,
         "{name} moved; regenerate its pin if the change is deliberate:\n{}",
@@ -171,7 +171,7 @@ fn every_variant_trains_to_its_pinned_bits() {
         variants.iter().zip(&got).map(|(v, p)| render(v.name(), p) + "\n").collect();
     for ((v, pin), want) in variants.iter().zip(&got).zip(SMALL) {
         assert_eq!(want.0, v.name(), "pin table out of order:\n{table}");
-        check(v.name(), pin, (want.1, want.2, want.3, want.4));
+        check(pin, want);
     }
     assert_eq!(SMALL.len(), variants.len(), "pin table incomplete:\n{table}");
 }
@@ -180,6 +180,5 @@ fn every_variant_trains_to_its_pinned_bits() {
 fn paper_ppn_trains_to_its_pinned_bits() {
     let ds = Dataset::load(Preset::CryptoA);
     let got = run(&ds, Variant::Ppn, NetConfig::paper(ds.assets()), 2, 4);
-    let want = PAPER_PPN;
-    check(want.0, &got, (want.1, want.2, want.3, want.4));
+    check(&got, &PAPER_PPN);
 }
