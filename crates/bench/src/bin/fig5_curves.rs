@@ -2,7 +2,7 @@
 //! Crypto-A test period. Emits `results/fig5_curves.csv` with one column per
 //! strategy (plus the paper-style summary of final values).
 
-use ppn_bench::{config_at, default_config, train_and_backtest, Budget};
+use ppn_bench::{config_at, default_config, run_many, Budget};
 use ppn_core::Variant;
 use ppn_market::Preset;
 
@@ -18,16 +18,16 @@ fn main() {
         Variant::PpnI,
         Variant::Ppn,
     ];
-    let mut curves = Vec::new();
-    for v in variants {
-        ppn_obs::obs_info!("[fig5] {} ...", v.name());
-        let cfg = match v {
-            Variant::Ppn | Variant::PpnI | Variant::Eiie => default_config(Preset::CryptoA, v),
-            _ => config_at(Preset::CryptoA, v, Budget::Ablation),
-        };
-        let res = train_and_backtest(&cfg);
-        curves.push((v.name().to_string(), res.wealth));
-    }
+    let cfgs = variants.map(|v| match v {
+        Variant::Ppn | Variant::PpnI | Variant::Eiie => default_config(Preset::CryptoA, v),
+        _ => config_at(Preset::CryptoA, v, Budget::Ablation),
+    });
+    ppn_obs::obs_info!("[fig5] fanning out {} cells ...", cfgs.len());
+    let curves: Vec<(String, Vec<f64>)> = variants
+        .iter()
+        .zip(run_many("fig5_curves", &cfgs))
+        .map(|(v, res)| (v.name().to_string(), res.wealth))
+        .collect();
 
     let len = curves.iter().map(|(_, c)| c.len()).min().unwrap_or(0);
     let mut csv = String::from("period");

@@ -2,21 +2,24 @@
 //! `results/fig6_gamma_curves.csv`. The paper-shape to look for: large γ
 //! curves go flat (trading stops when costs outweigh the edge).
 
-use ppn_bench::{config_at, train_and_backtest, Budget};
+use ppn_bench::{config_at, run_many, Budget};
 use ppn_core::Variant;
 use ppn_market::Preset;
 
 fn main() {
     let run = ppn_bench::start_run("fig6_gamma_curves");
     let gammas = [1e-4, 1e-3, 1e-2, 1e-1];
-    let mut curves = Vec::new();
-    for &gamma in &gammas {
-        ppn_obs::obs_info!("[fig6] gamma={gamma:.0e} ...");
+    let cfgs = gammas.map(|gamma| {
         let mut cfg = config_at(Preset::CryptoA, Variant::Ppn, Budget::Sweep);
         cfg.gamma = gamma;
-        let res = train_and_backtest(&cfg);
-        curves.push((format!("gamma={gamma:.0e}"), res.wealth));
-    }
+        cfg
+    });
+    ppn_obs::obs_info!("[fig6] fanning out {} cells ...", cfgs.len());
+    let curves: Vec<(String, Vec<f64>)> = gammas
+        .iter()
+        .zip(run_many("fig6_gamma_curves", &cfgs))
+        .map(|(gamma, res)| (format!("gamma={gamma:.0e}"), res.wealth))
+        .collect();
 
     let len = curves.iter().map(|(_, c)| c.len()).min().unwrap_or(0);
     let mut csv = String::from("period");

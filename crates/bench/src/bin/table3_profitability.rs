@@ -1,7 +1,7 @@
 //! Table 3 / Table Sup.1: profitability comparison of all baselines, EIIE,
 //! PPN-I and PPN on the four crypto datasets (APV, SR%, CR, TO).
 
-use ppn_bench::{default_config, fnum, run_baselines, start_run, train_and_backtest, TableWriter};
+use ppn_bench::{default_config, fnum, run_baselines, run_many, start_run, TableWriter};
 use ppn_core::Variant;
 use ppn_market::Preset;
 
@@ -35,13 +35,15 @@ fn main() {
         table.row(row);
     }
 
-    // Neural strategies (cached).
-    for v in nets {
+    // Neural strategies (cached): a row-major (net × preset) cell grid,
+    // fanned out across the pool.
+    let cfgs: Vec<_> = nets.iter().flat_map(|&v| presets.map(|p| default_config(p, v))).collect();
+    ppn_obs::obs_info!("[table3] fanning out {} cells ...", cfgs.len());
+    let results = run_many("table3_profitability", &cfgs);
+    for (v, cells) in nets.iter().zip(results.chunks(presets.len())) {
         let mut row = vec![v.name().to_string()];
-        for &p in &presets {
-            ppn_obs::obs_info!("[table3] {} on {} ...", v.name(), p.name());
-            let res = train_and_backtest(&default_config(p, v));
-            let m = res.metrics;
+        for res in cells {
+            let m = &res.metrics;
             row.extend([fnum(m.apv), fnum(m.sharpe_pct), fnum(m.calmar), fnum(m.turnover)]);
         }
         table.row(row);

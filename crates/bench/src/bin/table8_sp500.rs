@@ -1,7 +1,7 @@
 //! Table 8: generalisation to the stock market — all methods on the
 //! S&P500-like daily dataset (APV, SR%, CR, TO).
 
-use ppn_bench::{default_config, fnum, run_baselines, train_and_backtest, TableWriter};
+use ppn_bench::{default_config, fnum, run_baselines, run_many, TableWriter};
 use ppn_core::Variant;
 use ppn_market::Preset;
 
@@ -15,9 +15,10 @@ fn main() {
     for (name, m, _) in run_baselines(Preset::Sp500, 0.0025) {
         table.row(vec![name, fnum(m.apv), fnum(m.sharpe_pct), fnum(m.calmar), fnum(m.turnover)]);
     }
-    for v in [Variant::Eiie, Variant::PpnI, Variant::Ppn] {
-        ppn_obs::obs_info!("[table8] {} on S&P500 ...", v.name());
-        let res = train_and_backtest(&default_config(Preset::Sp500, v));
+    let nets = [Variant::Eiie, Variant::PpnI, Variant::Ppn];
+    let cfgs = nets.map(|v| default_config(Preset::Sp500, v));
+    ppn_obs::obs_info!("[table8] fanning out {} cells ...", cfgs.len());
+    for (v, res) in nets.iter().zip(run_many("table8_sp500", &cfgs)) {
         let m = res.metrics;
         table.row(vec![
             v.name().to_string(),

@@ -8,7 +8,7 @@
 //!   bounded by `(9/4)λ + 2γ(1−ψ)/(1+ψ)`; we report the realised gap of the
 //!   trained PPN against its λ=γ=0 twin next to the theoretical allowance.
 
-use ppn_bench::{config_at, train_and_backtest, Budget};
+use ppn_bench::{config_at, run_many, Budget, ExpConfig};
 use ppn_core::Variant;
 use ppn_market::{
     max_turnover, prop4_bounds, run_backtest, test_range, turnover_l1, Dataset, Ledger, Preset,
@@ -52,12 +52,10 @@ fn main() {
     let allowance = 2.25 * lambda + 2.0 * gamma * (1.0 - psi) / (1.0 + psi);
     ppn_obs::obs_info!("Theorem 2 allowance per period: (9/4)λ + 2γ(1−ψ)/(1+ψ) = {allowance:.6}");
 
-    let cost_sensitive =
-        train_and_backtest(&config_at(Preset::CryptoA, Variant::Ppn, Budget::Sweep));
-    let mut blind_cfg = config_at(Preset::CryptoA, Variant::Ppn, Budget::Sweep);
-    blind_cfg.lambda = 0.0;
-    blind_cfg.gamma = 0.0;
-    let cost_blind = train_and_backtest(&blind_cfg);
+    let sensitive_cfg = config_at(Preset::CryptoA, Variant::Ppn, Budget::Sweep);
+    let blind_cfg = ExpConfig { lambda: 0.0, gamma: 0.0, ..sensitive_cfg.clone() };
+    let results = run_many("theory_bounds", &[sensitive_cfg, blind_cfg]);
+    let (cost_sensitive, cost_blind) = (&results[0], &results[1]);
 
     let n = cost_sensitive.wealth.len() as f64;
     let g_sens = cost_sensitive.wealth.last().unwrap().ln() / n;

@@ -253,11 +253,13 @@ fn cell_label(s: &str) -> String {
 }
 
 /// Fans `labels.len()` experiment cells out across the shared worker pool
-/// (`ppn_tensor::par`, sized by `PPN_THREADS`). Each cell runs under its own
-/// run manifest named `<parent>.<label>` in [`TELEMETRY_DIR`], so per-cell
-/// provenance and span reports land next to the table output. Results come
-/// back in cell order regardless of scheduling; `run(i)` is called exactly
-/// once per cell.
+/// (`ppn_tensor::par`, sized by `PPN_THREADS`): the workspace's one level of
+/// parallelism. A cell runs start to finish on one worker, its kernels on
+/// that worker's thread, so it computes exactly what a serial run computes.
+/// Each cell runs under its own run manifest named `<parent>.<label>` in
+/// [`TELEMETRY_DIR`], so per-cell provenance and span reports land next to
+/// the table output. Results come back in cell order regardless of
+/// scheduling; `run(i)` is called exactly once per cell.
 pub fn run_cells<T: Send>(
     parent: &str,
     labels: &[String],
@@ -475,6 +477,43 @@ mod tests {
         let out =
             ppn_tensor::par::with_threads(4, || run_cells("test_run_cells", &labels, |i| i * 3));
         assert_eq!(out, (0..12).map(|i| i * 3).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn concurrent_cells_train_the_same_bits_as_a_serial_loop() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        ppn_obs::init(ppn_obs::ObsConfig::off());
+        let ds = Dataset::load(Preset::CryptoA);
+        // One small two-stream PPN cell per seed: the bits of each step's
+        // reward, then the bits of every trained parameter.
+        let cell = |seed: u64| {
+            let cfg = NetConfig {
+                window: 8,
+                lstm_hidden: 4,
+                tccb_channels: [2, 3, 3],
+                ..NetConfig::paper(ds.assets())
+            };
+            let net = PolicyNet::new(Variant::Ppn, cfg, &mut StdRng::seed_from_u64(seed));
+            let train = TrainConfig { steps: 3, batch: 4, seed, ..TrainConfig::default() };
+            let mut tr = Trainer::with_net(&ds, net, RewardConfig::default(), train);
+            let rewards: Vec<u64> = (0..3).map(|_| tr.step().reward.to_bits()).collect();
+            let net = tr.into_net();
+            let params: Vec<u64> = net
+                .store
+                .ids()
+                .flat_map(|id| net.store.value(id).data())
+                .map(|v| v.to_bits())
+                .collect();
+            (rewards, params)
+        };
+        let serial: Vec<_> = (0..4).map(cell).collect();
+        assert!(serial.windows(2).all(|w| w[0] != w[1]), "the seeds must train distinct cells");
+        let labels: Vec<String> = (0..4).map(|i| format!("seed {i}")).collect();
+        let concurrent = ppn_tensor::par::with_threads(4, || {
+            run_cells("test_concurrent_cells", &labels, |i| cell(i as u64))
+        });
+        assert!(concurrent == serial, "cells trained on workers diverged from the serial loop");
     }
 
     #[test]

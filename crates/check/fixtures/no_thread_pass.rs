@@ -1,10 +1,8 @@
 //! Clean: parallelism goes through the pool; non-spawning thread APIs and
 //! test code are fine.
 
-pub fn fan_out(data: &mut [f64]) {
-    ppn_tensor::par::par_chunks_mut(data, 8, |_, chunk| {
-        chunk.iter_mut().for_each(|v| *v += 1.0);
-    });
+pub fn fan_out(cells: &[f64]) -> Vec<f64> {
+    ppn_tensor::par::par_map(cells.len(), |i| cells[i] + 1.0)
 }
 
 pub fn host_width() -> usize {

@@ -109,9 +109,9 @@ pub fn registry() -> Vec<Rule> {
         },
         Rule {
             id: "no-thread",
-            description: "only ppn_tensor::par and the ppn-serve listener may spawn threads — \
-                          all other first-party code must go through the worker pool \
-                          (determinism + PPN_THREADS control)",
+            description: "only ppn_tensor::par, the ppn-serve event loop and the ppn-stream \
+                          updater may spawn threads — all other first-party code fans out \
+                          through par::par_map (determinism + PPN_THREADS control)",
             check: check_no_thread,
         },
         Rule {
@@ -585,9 +585,9 @@ const THREAD_SPAWN_PATTERNS: [(&str, &str); 3] = [
 
 /// The only modules allowed to call thread-spawning constructs: the worker
 /// pool itself, the ppn-serve event-loop module (exactly two threads per
-/// server — the epoll loop and the batcher, never per-connection — work it
-/// *dispatches* still runs on the pool), and the ppn-stream updater service
-/// (one thread per `StreamService`, owning the feed/train/publish loop).
+/// server — the epoll loop and the batcher, never per-connection), and the
+/// ppn-stream updater service (one thread per `StreamService`, owning the
+/// feed/train/publish loop).
 /// The serve HTTP/queue modules and the stream divergence/promotion code
 /// stay spawn-free by design; keep them off this list so a stray-thread
 /// regression is caught.
@@ -612,8 +612,8 @@ fn check_no_thread(file: &SourceFile) -> Vec<Diagnostic> {
                     i,
                     "no-thread",
                     format!(
-                        "{why} outside ppn_tensor::par — use par::par_chunks_mut/par_map so \
-                         PPN_THREADS and the determinism guarantee apply (`{}`)",
+                        "{why} outside ppn_tensor::par — use par::par_map so PPN_THREADS \
+                         and the determinism guarantee apply (`{}`)",
                         line.code.trim()
                     ),
                 ));

@@ -7,23 +7,20 @@
 
 use ppn_core::prelude::*;
 use ppn_market::{Dataset, Preset};
-use ppn_tensor::{par, storage};
+use ppn_tensor::storage;
 
 #[test]
 fn warmed_up_ppn_step_allocates_nothing() {
     let ds = Dataset::load(Preset::CryptoA);
     let cfg = TrainConfig { steps: 4, batch: 16, ..TrainConfig::default() };
     let mut tr = Trainer::new(&ds, Variant::Ppn, RewardConfig::default(), cfg);
-    // Serial, so every kernel buffer comes from this thread's arena.
-    par::with_threads(1, || {
-        tr.step();
-        tr.step();
-        let before = storage::arena_stats();
-        tr.step();
-        tr.step();
-        let after = storage::arena_stats();
-        assert_eq!(after.arena_misses - before.arena_misses, 0, "arena misses");
-        assert_eq!(after.alloc_bytes - before.alloc_bytes, 0, "allocator bytes");
-        assert!(after.arena_hits > before.arena_hits, "the step must use the arena");
-    });
+    tr.step();
+    tr.step();
+    let before = storage::arena_stats();
+    tr.step();
+    tr.step();
+    let after = storage::arena_stats();
+    assert_eq!(after.arena_misses - before.arena_misses, 0, "arena misses");
+    assert_eq!(after.alloc_bytes - before.alloc_bytes, 0, "allocator bytes");
+    assert!(after.arena_hits > before.arena_hits, "the step must use the arena");
 }

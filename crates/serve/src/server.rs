@@ -3,9 +3,8 @@
 //! machine, plus the batcher thread. This is the **only** ppn-serve module
 //! sanctioned to spawn threads (enforced by the ppn-check `no-thread`
 //! allowlist): exactly two per server — the event loop and the batcher —
-//! regardless of connection count. The batched forward passes the batcher
-//! dispatches still run on the `ppn_tensor::par` worker pool via the
-//! tensor kernels, so `PPN_THREADS` keeps governing compute parallelism.
+//! regardless of connection count. The batcher runs each batched forward
+//! pass on its own thread; the tensor kernels never fan out further.
 //!
 //! Admission control happens at two layers: the accept path refuses
 //! connections beyond `max_conns` (best-effort `503`), and `/decide`

@@ -5,9 +5,8 @@
 //! This is the only ppn-stream module allowed to spawn a thread (the
 //! ppn-check `no-thread` allowlist pins it): exactly one updater thread per
 //! [`StreamService`], owning the feed → decide/train → snapshot → promote
-//! loop end to end. Forward and backward passes inside the loop still run
-//! on the `ppn_tensor::par` worker pool, so `PPN_THREADS` keeps governing
-//! compute parallelism; this thread only sequences the pipeline.
+//! loop end to end. Forward and backward passes inside the loop run on this
+//! thread too: the tensor kernels never fan out further.
 //!
 //! Serving is never blocked by the updater: the registry swap is an
 //! epoch-style pointer store, and the expensive pieces (gradient steps,

@@ -56,7 +56,7 @@ const LANES: usize = 4;
 const COL_SPAN: usize = 32;
 
 /// Shared geometry for one conv call, precomputed once and read by every
-/// worker.
+/// block of the kernel.
 #[derive(Clone, Copy)]
 struct ConvDims {
     b: usize,
@@ -142,14 +142,6 @@ impl ConvDims {
     fn o_stride_b(&self) -> usize {
         self.cout * self.o_stride_c()
     }
-    /// Approximate multiply-add count of the forward pass (used to decide
-    /// whether parallel dispatch is worth the spawn overhead).
-    fn flops(&self) -> usize {
-        2usize
-            .saturating_mul(self.b * self.cout)
-            .saturating_mul(self.cin * self.kh * self.kw)
-            .saturating_mul(self.o_stride_c())
-    }
     /// Hoisted vertical (row) bounds for kernel tap row `ky`: the input row
     /// offset and the valid output row range.
     fn y_bounds(&self, ky: usize) -> (isize, usize, usize) {
@@ -215,12 +207,11 @@ impl ConvDims {
 
 /// Forward convolution. Returns `(B, C_out, H', W')`.
 ///
-/// Each output element accumulates its taps in `ic, ky, kx` order from
-/// zero, skipping taps whose weight is exactly zero. The kernel advances
-/// four output channels of one sample together and is parallelised over
-/// such blocks via [`crate::par`]; every element keeps that order, so
-/// results are bit-identical at every thread count and with or without
-/// the `simd` feature.
+/// Runs on the calling thread. Each output element accumulates its taps in
+/// `ic, ky, kx` order from zero, skipping taps whose weight is exactly
+/// zero. The kernel advances four output channels of one sample together;
+/// every element keeps that order, so results are bit-identical with or
+/// without the `simd` feature.
 ///
 /// # Panics
 /// Panics on rank/channel mismatches or when the kernel does not fit.
@@ -230,43 +221,28 @@ pub fn conv2d_forward(x: &Tensor, w: &Tensor, dilation: Dilation, pad: Padding) 
     let (xd, wd) = (x.data(), w.data());
     let plane = d.o_stride_c();
     let mut out = Storage::zeroed(d.b * d.o_stride_b());
-    let chunk = chunk_len(out.len(), LANES * plane, d.flops());
-    crate::par::par_chunks_mut(&mut out, chunk, |ci, block| {
-        for_channel_blocks(block, plane, ci * chunk / plane, d.cout, |bi, oc0, planes| {
-            if d.ow == 1 {
-                forward_col(&d, xd, wd, bi, oc0, planes);
-            } else {
-                forward_rows(&d, xd, wd, bi, oc0, planes);
-            }
-        });
+    for_channel_blocks(&mut out, plane, d.cout, |bi, oc0, planes| {
+        if d.ow == 1 {
+            forward_col(&d, xd, wd, bi, oc0, planes);
+        } else {
+            forward_rows(&d, xd, wd, bi, oc0, planes);
+        }
     });
     crate::tensor::observe_kernel_ms("tensor.conv_fwd_ms", timer);
     crate::tensor::observe_kernel_ms("tensor.conv_ms", timer);
     Tensor::from_storage(&d.out_shape(), out)
 }
 
-/// Elements per pool chunk for a `total`-element output: everything in one
-/// chunk when the kernel is too small to parallelise, otherwise one `unit`
-/// (a whole block of channel planes) per chunk.
-fn chunk_len(total: usize, unit: usize, flops: usize) -> usize {
-    if crate::par::threads() <= 1 || flops < crate::tensor::PAR_MIN_FLOPS {
-        total.max(1)
-    } else {
-        unit.max(1)
-    }
-}
-
-/// Walks `buf` — the planes `first..` of a `(B, C)` grid of `plane`-element
-/// planes — in blocks of at most [`LANES`] channels of one sample, calling
+/// Walks `buf` — a `(B, C)` grid of `plane`-element planes — in blocks of
+/// at most [`LANES`] channels of one sample, calling
 /// `f(sample, first_channel, block)`.
 fn for_channel_blocks(
     buf: &mut [f64],
     plane: usize,
-    first: usize,
     channels: usize,
     mut f: impl FnMut(usize, usize, &mut [f64]),
 ) {
-    let mut p = first;
+    let mut p = 0;
     let mut rest = buf;
     while !rest.is_empty() {
         let (bi, c0) = (p / channels, p % channels);
@@ -383,10 +359,9 @@ fn forward_col(d: &ConvDims, xd: &[f64], wd: &[f64], bi: usize, oc0: usize, plan
 /// Input gradient of [`conv2d_forward`]: returns `grad_x` of `x`'s shape
 /// given the upstream gradient `grad_out` of shape `(B, C_out, H', W')`.
 ///
-/// Each element accumulates from zero in `oc, ky, kx` order (one term per
-/// tap that reads it). The kernel advances four input channels of one
-/// sample together and is parallelised over samples, so results are
-/// bit-identical at every thread count.
+/// Runs on the calling thread, one sample at a time. Each element
+/// accumulates from zero in `oc, ky, kx` order (one term per tap that reads
+/// it); the kernel advances four input channels of one sample together.
 ///
 /// # Panics
 /// Panics like [`conv2d_forward`], and when `grad_out` does not have the
@@ -401,19 +376,14 @@ pub fn conv2d_grad_x(
     let d = ConvDims::for_backward(x, w, grad_out, dilation, pad);
     let timer = crate::tensor::kernel_timer();
     let (wd, gd) = (w.data(), grad_out.data());
-    let sample = d.x_stride_b();
     let mut gx = Storage::zeroed(x.len());
-    let chunk = chunk_len(gx.len(), sample, d.flops());
-    crate::par::par_chunks_mut(&mut gx, chunk, |ci, block| {
-        for (si, gx_sample) in block.chunks_mut(sample.max(1)).enumerate() {
-            let bi = ci * chunk / sample.max(1) + si;
-            if d.ow == 1 {
-                grad_x_col(&d, wd, gd, bi, gx_sample);
-            } else {
-                grad_x_rows(&d, wd, gd, bi, gx_sample);
-            }
+    for (bi, gx_sample) in gx.chunks_mut(d.x_stride_b().max(1)).enumerate() {
+        if d.ow == 1 {
+            grad_x_col(&d, wd, gd, bi, gx_sample);
+        } else {
+            grad_x_rows(&d, wd, gd, bi, gx_sample);
         }
-    });
+    }
     crate::tensor::observe_kernel_ms("tensor.conv_grad_x_ms", timer);
     Tensor::from_storage(x.shape(), gx)
 }
@@ -481,13 +451,12 @@ fn grad_x_col(d: &ConvDims, wd: &[f64], gd: &[f64], bi: usize, gx_sample: &mut [
 /// Kernel gradient of [`conv2d_forward`]: returns `grad_w` of `w`'s shape
 /// given the upstream gradient `grad_out` of shape `(B, C_out, H', W')`.
 ///
-/// Each element sums its window products per sample from zero in `(oy, ox)`
-/// order, then adds the per-sample sums in ascending `bi`. The kernel runs
-/// several such sums side by side as independent chains (four input
-/// channels of one tap; for one-column outputs, a span of kernel columns)
-/// — it interleaves them, it never reassociates one — and is parallelised
-/// over output channels, so results are bit-identical at every thread
-/// count.
+/// Runs on the calling thread, one output channel at a time. Each element
+/// sums its window products per sample from zero in `(oy, ox)` order, then
+/// adds the per-sample sums in ascending `bi`. The kernel runs several such
+/// sums side by side as independent chains (four input channels of one
+/// tap; for one-column outputs, a span of kernel columns): it interleaves
+/// them, it never reassociates one.
 ///
 /// # Panics
 /// Panics like [`conv2d_forward`], and when `grad_out` does not have the
@@ -502,19 +471,14 @@ pub fn conv2d_grad_w(
     let d = ConvDims::for_backward(x, w, grad_out, dilation, pad);
     let timer = crate::tensor::kernel_timer();
     let (xd, gd) = (x.data(), grad_out.data());
-    let plane = d.w_stride_o();
     let mut gw = Storage::zeroed(w.len());
-    let chunk = chunk_len(gw.len(), plane, d.flops());
-    crate::par::par_chunks_mut(&mut gw, chunk, |ci, block| {
-        for (pi, gw_plane) in block.chunks_mut(plane.max(1)).enumerate() {
-            let oc = ci * chunk / plane.max(1) + pi;
-            if d.ow == 1 {
-                grad_w_col(&d, xd, gd, oc, gw_plane);
-            } else {
-                grad_w_rows(&d, xd, gd, oc, gw_plane);
-            }
+    for (oc, gw_plane) in gw.chunks_mut(d.w_stride_o().max(1)).enumerate() {
+        if d.ow == 1 {
+            grad_w_col(&d, xd, gd, oc, gw_plane);
+        } else {
+            grad_w_rows(&d, xd, gd, oc, gw_plane);
         }
-    });
+    }
     crate::tensor::observe_kernel_ms("tensor.conv_grad_w_ms", timer);
     Tensor::from_storage(w.shape(), gw)
 }

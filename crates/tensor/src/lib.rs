@@ -23,8 +23,9 @@
 //! * a finite-difference [`gradcheck`](gradcheck::gradcheck) harness used by
 //!   the test suites to certify every backward rule,
 //! * a scoped worker pool ([`par`]) behind the `PPN_THREADS` environment
-//!   variable that parallelises the dominant kernels (`matmul`, the conv
-//!   forward/backward) with bit-identical results at every thread count,
+//!   variable that runs whole independent jobs (experiment cells, test
+//!   clients) side by side; the kernels themselves run on the calling
+//!   thread,
 //! * a 32-byte-aligned backing store with a thread-local buffer-reuse
 //!   arena ([`storage`]) and register-blocked AXPY kernels ([`simd`],
 //!   optional AVX2 behind the `simd` cargo feature, used whenever the CPU

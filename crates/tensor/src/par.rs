@@ -1,18 +1,22 @@
 //! Scoped worker pool: the workspace's only thread-spawning module.
 //!
-//! Every parallel region in the workspace funnels through here (the
-//! `ppn-check` `no-thread` rule enforces it). The pool is deliberately
-//! simple: each parallel region opens a [`std::thread::scope`], workers pull
-//! work items off a `parking_lot`-locked queue, and the region joins before
-//! returning — no detached threads, no cross-region state beyond the
-//! configured thread count.
+//! The pool runs whole units of independent work side by side: experiment
+//! cells (`ppn_bench::run_cells`), test clients and load generators. It
+//! never splits a tensor kernel; `matmul` and the conv kernels run on the
+//! calling thread, so a cell trained on a worker computes exactly what it
+//! computes alone. Every parallel region in the workspace funnels through
+//! here (the `ppn-check` `no-thread` rule enforces it). Each [`par_map`]
+//! opens a [`std::thread::scope`], workers pull indices off a
+//! `parking_lot`-locked queue, and the region joins before returning: no
+//! detached threads, no cross-region state beyond the configured thread
+//! count.
 //!
 //! ## Thread count
 //!
 //! The effective count comes from, in priority order:
 //!
-//! 1. a scoped [`with_threads`] override (used by tests to compare thread
-//!    counts inside one process, and by `perfbench` to pin its pool size),
+//! 1. a scoped [`with_threads`] override (used by tests to size a fan-out
+//!    inside one process),
 //! 2. the `PPN_THREADS` environment variable (read once, cached),
 //! 3. [`std::thread::available_parallelism`].
 //!
@@ -21,12 +25,10 @@
 //!
 //! ## Determinism
 //!
-//! The pool only distributes *disjoint* work: every output element is
-//! written by exactly one worker, and each kernel built on the pool keeps
-//! its per-element floating-point accumulation order identical to the
-//! serial loop (see `Tensor::matmul` and `conv::conv2d_forward`). Results
-//! are therefore bit-identical across thread counts, including the serial
-//! path — the queue order only decides *who* computes a chunk, never *how*.
+//! [`par_map`] returns results in index order. When each item's result
+//! depends only on its index, as a seeded experiment cell's does, the
+//! output is the same at every thread count: the queue order only decides
+//! *who* runs an item, never *how*.
 
 use parking_lot::Mutex;
 use std::cell::Cell;
@@ -69,11 +71,8 @@ pub fn threads() -> usize {
 
 /// Runs `f` with the effective thread count forced to `n` on this thread
 /// (clamped to `1..=MAX_THREADS`), restoring the previous setting afterwards
-/// — including on panic. Lets one process compare thread counts directly.
-/// The override does not propagate into spawned workers. Parallel regions
-/// do nest: `ppn_bench`'s `run_cells` runs whole training cells through
-/// [`par_map`], and the kernels inside each worker read the global count
-/// again, so a worker can start its own region (ROADMAP item 2).
+/// — including on panic. The override does not propagate into spawned
+/// workers: a region started inside a worker reads the global count.
 pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     struct Restore(usize);
     impl Drop for Restore {
@@ -87,69 +86,28 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Drains `items` through `f` on up to [`threads`] scoped workers (the
-/// calling thread included). Serial and single-item inputs run inline
-/// without spawning.
-fn dispatch<I: Send>(items: Vec<I>, f: impl Fn(I) + Sync) {
-    let t = threads().min(items.len());
+/// Evaluates `f(0..n)` on up to [`threads`] scoped workers (the calling
+/// thread included), returning the results in index order. The
+/// index→result mapping is fixed, so the output is independent of
+/// scheduling. Serial and single-item inputs run inline without spawning.
+pub fn par_map<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let t = threads().min(n);
     if t <= 1 {
-        for item in items {
-            f(item);
-        }
-        return;
+        return (0..n).map(f).collect();
     }
-    let queue = Mutex::new(items.into_iter());
+    let queue = Mutex::new(0..n);
+    let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
     let worker = || loop {
         // Pop under the lock, run outside it.
-        let item = queue.lock().next();
-        match item {
-            Some(item) => f(item),
-            None => break,
-        }
+        let Some(i) = queue.lock().next() else { break };
+        let out = f(i);
+        results.lock().push((i, out));
     };
     std::thread::scope(|s| {
         for _ in 1..t {
             s.spawn(worker);
         }
         worker();
-    });
-}
-
-/// Splits `data` into contiguous chunks of `chunk_len` elements (the last
-/// chunk may be shorter) and calls `f(chunk_index, chunk)` for each, spread
-/// across the pool. Chunks are disjoint `&mut` slices, so workers can never
-/// observe each other's writes.
-///
-/// # Panics
-/// Panics if `chunk_len` is zero.
-pub fn par_chunks_mut<T: Send>(
-    data: &mut [T],
-    chunk_len: usize,
-    f: impl Fn(usize, &mut [T]) + Sync,
-) {
-    assert!(chunk_len > 0, "par_chunks_mut chunk_len must be positive");
-    // Serial / single-chunk fast path: no chunk-list allocation, no queue.
-    if threads() <= 1 || data.len() <= chunk_len {
-        for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
-            f(i, chunk);
-        }
-        return;
-    }
-    let chunks: Vec<(usize, &mut [T])> = data.chunks_mut(chunk_len).enumerate().collect();
-    dispatch(chunks, |(i, chunk)| f(i, chunk));
-}
-
-/// Evaluates `f(0..n)` across the pool, returning the results in index
-/// order. The index→result mapping is fixed, so the output is independent
-/// of scheduling.
-pub fn par_map<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    if threads().min(n) <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
-    dispatch((0..n).collect(), |i| {
-        let out = f(i);
-        results.lock().push((i, out));
     });
     let mut pairs = results.into_inner();
     pairs.sort_by_key(|&(i, _)| i);
@@ -178,29 +136,6 @@ mod tests {
         let r = std::panic::catch_unwind(|| with_threads(5, || panic!("boom")));
         assert!(r.is_err());
         assert_eq!(threads(), before);
-    }
-
-    #[test]
-    fn par_chunks_mut_visits_every_chunk_once() {
-        for t in [1, 2, 4] {
-            let mut data = vec![0u32; 37];
-            with_threads(t, || {
-                par_chunks_mut(&mut data, 5, |i, chunk| {
-                    for v in chunk.iter_mut() {
-                        *v += i as u32 + 1;
-                    }
-                });
-            });
-            for (j, v) in data.iter().enumerate() {
-                assert_eq!(*v, (j / 5) as u32 + 1, "t={t} j={j}");
-            }
-        }
-    }
-
-    #[test]
-    fn par_chunks_mut_handles_empty_input() {
-        let mut data: Vec<f64> = Vec::new();
-        par_chunks_mut(&mut data, 4, |_, _| panic!("no chunks expected"));
     }
 
     #[test]

@@ -145,12 +145,6 @@ impl Tensor {
         self.data[shape::offset(&self.shape, idx)]
     }
 
-    /// Mutable element at a multi-index.
-    pub fn at_mut(&mut self, idx: &[usize]) -> &mut f64 {
-        let off = shape::offset(&self.shape, idx);
-        &mut self.data[off]
-    }
-
     /// Returns a tensor with the same data and a new shape.
     ///
     /// # Panics
@@ -268,11 +262,6 @@ impl Tensor {
         self.zip(other, |a, b| a * b)
     }
 
-    /// Elementwise division (broadcasting).
-    pub fn div(&self, other: &Tensor) -> Tensor {
-        self.zip(other, |a, b| a / b)
-    }
-
     /// Scales every element.
     pub fn scale(&self, s: f64) -> Tensor {
         self.map(|x| x * s)
@@ -304,10 +293,10 @@ impl Tensor {
 
     /// 2-D matrix multiplication: `(n,k) x (k,m) -> (n,m)`.
     ///
-    /// Row-blocked across the [`crate::par`] worker pool and cache-blocked
-    /// over `k`. Every output element accumulates over `k` in ascending
-    /// order regardless of blocking or thread count, so results are
-    /// bit-identical from `PPN_THREADS=1` to any pool size.
+    /// Runs on the calling thread, cache-blocked over `k` and four rows at a
+    /// time (see `matmul_rows`). Every output element accumulates over `k`
+    /// in ascending order, so the result is bit-identical to the naive
+    /// triple loop.
     ///
     /// # Panics
     /// Panics unless both operands are rank 2 with matching inner dims.
@@ -319,12 +308,7 @@ impl Tensor {
         assert_eq!(k, k2, "matmul inner dims {:?} x {:?}", self.shape, other.shape);
         let timer = kernel_timer();
         let mut out = Storage::zeroed(n * m);
-        let a = &self.data[..];
-        let b = &other.data[..];
-        let rows_per_chunk = matmul_rows_per_chunk(n, k, m);
-        crate::par::par_chunks_mut(&mut out, (rows_per_chunk * m).max(1), |ci, block| {
-            matmul_rows(a, b, ci * rows_per_chunk, block, k, m);
-        });
+        matmul_rows(&self.data, &other.data, &mut out, k, m);
         observe_kernel_ms("tensor.matmul_ms", timer);
         Tensor { shape: vec![n, m], data: out }
     }
@@ -480,23 +464,8 @@ pub(crate) fn observe_kernel_ms(name: &str, timer: Option<std::time::Instant>) {
     }
 }
 
-/// Work below this many flops stays on the calling thread: scoped-spawn
-/// overhead (tens of microseconds) would dominate the kernel itself.
-pub(crate) const PAR_MIN_FLOPS: usize = 1 << 16;
-
-/// Output rows per pool chunk: the whole matrix when the problem is too
-/// small to parallelise, otherwise ~4 chunks per worker for load balance.
-fn matmul_rows_per_chunk(n: usize, k: usize, m: usize) -> usize {
-    let flops = 2usize.saturating_mul(n).saturating_mul(k).saturating_mul(m);
-    let t = crate::par::threads();
-    if t <= 1 || flops < PAR_MIN_FLOPS {
-        return n.max(1);
-    }
-    n.div_ceil(t * 4).max(1)
-}
-
-/// Computes output rows `i0..` of `a (n,k) × b (k,m)` into `out_block`
-/// (`rows × m`, row-major), i-k-j order with two levels of blocking:
+/// Computes `a (n,k) × b (k,m)` into the zeroed `out` (`n × m`,
+/// row-major), i-k-j order with two levels of blocking:
 ///
 /// * `k` is tiled (`K_TILE`) so a panel of `b` stays cache-hot across the
 ///   row sweep,
@@ -507,29 +476,29 @@ fn matmul_rows_per_chunk(n: usize, k: usize, m: usize) -> usize {
 /// Every output element still accumulates over `k` in ascending order —
 /// blocking only reorders *which element* is updated next, never the term
 /// order within an element — so results are bit-identical to the naive
-/// triple loop at any block size, thread count, or SIMD setting.
-fn matmul_rows(a: &[f64], b: &[f64], i0: usize, out_block: &mut [f64], k: usize, m: usize) {
+/// triple loop at any block size or SIMD setting.
+fn matmul_rows(a: &[f64], b: &[f64], out: &mut [f64], k: usize, m: usize) {
     const K_TILE: usize = 64;
     if m == 0 {
         return;
     }
-    // One dispatch decision per row block, hoisted out of the k-tile loops.
+    // One dispatch decision per call, hoisted out of the k-tile loops.
     let simd = crate::simd::Dispatch::capture();
-    let rows = out_block.len() / m;
+    let rows = out.len() / m;
     let mut kb = 0;
     while kb < k {
         let ke = (kb + K_TILE).min(k);
         let mut r = 0;
         while r + 4 <= rows {
             // Four disjoint output rows, one shared b panel.
-            let (quad, _) = out_block[r * m..].split_at_mut(4 * m);
+            let (quad, _) = out[r * m..].split_at_mut(4 * m);
             let (o0, rest) = quad.split_at_mut(m);
             let (o1, rest) = rest.split_at_mut(m);
             let (o2, o3) = rest.split_at_mut(m);
-            let a0 = &a[(i0 + r) * k..(i0 + r + 1) * k];
-            let a1 = &a[(i0 + r + 1) * k..(i0 + r + 2) * k];
-            let a2 = &a[(i0 + r + 2) * k..(i0 + r + 3) * k];
-            let a3 = &a[(i0 + r + 3) * k..(i0 + r + 4) * k];
+            let a0 = &a[r * k..(r + 1) * k];
+            let a1 = &a[(r + 1) * k..(r + 2) * k];
+            let a2 = &a[(r + 2) * k..(r + 3) * k];
+            let a3 = &a[(r + 3) * k..(r + 4) * k];
             for kk in kb..ke {
                 let brow = &b[kk * m..(kk + 1) * m];
                 simd.axpy4(
@@ -541,8 +510,8 @@ fn matmul_rows(a: &[f64], b: &[f64], i0: usize, out_block: &mut [f64], k: usize,
             r += 4;
         }
         while r < rows {
-            let arow = &a[(i0 + r) * k..(i0 + r + 1) * k];
-            let orow = &mut out_block[r * m..(r + 1) * m];
+            let arow = &a[r * k..(r + 1) * k];
+            let orow = &mut out[r * m..(r + 1) * m];
             for kk in kb..ke {
                 simd.axpy(orow, &b[kk * m..(kk + 1) * m], arow[kk]);
             }

@@ -1,45 +1,21 @@
-//! Bit-identity of the pooled kernels across thread counts.
+//! Bit-exactness of the dense kernels: `matmul`, `conv2d_forward`,
+//! `conv2d_grad_x` and `conv2d_grad_w`.
 //!
-//! The worker pool (`ppn_tensor::par`) promises that `matmul`,
-//! `conv2d_forward`, `conv2d_grad_x` and `conv2d_grad_w` produce byte-for-byte identical
-//! results at every thread count. These tests compare `PPN_THREADS=1`
-//! against a 4-thread pool over randomized shapes (including empty and 1×1
-//! edges) and run the finite-difference gradcheck harness under the pooled
-//! kernels. A golden-digest test pins the conv kernels' outputs on every
-//! shipped conv shape bit for bit.
+//! A property test checks the conv kernels against a naive per-element
+//! reference in the documented accumulation orders, over randomized shapes.
+//! A golden-digest test pins the conv kernels' outputs on every shipped conv
+//! shape bit for bit. Empty and 1×1 edges and a finite-difference gradcheck
+//! over a two-sample batch round it off.
 
 use ppn_tensor::approx::is_zero;
 use ppn_tensor::conv::{
-    causal_padding, conv2d_forward, conv2d_grad_w, conv2d_grad_x, same_padding, Dilation, Padding,
+    conv2d_forward, conv2d_grad_w, conv2d_grad_x, same_padding, Dilation, Padding,
 };
 use ppn_tensor::gradcheck::gradcheck;
-use ppn_tensor::par::with_threads;
 use ppn_tensor::{ParamStore, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-fn bits(t: &Tensor) -> Vec<u64> {
-    t.data().iter().map(|v| v.to_bits()).collect()
-}
-
-fn assert_bit_identical(serial: &Tensor, pooled: &Tensor, what: &str) {
-    assert_eq!(serial.shape(), pooled.shape(), "{what}: shape mismatch");
-    assert_eq!(bits(serial), bits(pooled), "{what}: bits diverged across thread counts");
-}
-
-/// Random matmul operands. Dims reach past the serial-fallback threshold
-/// (2·n·k·m ≥ 2¹⁶) so a meaningful share of cases exercise real fan-out,
-/// and include degenerate `k = 0` inner dims and 1×1 cases.
-fn matmul_case() -> impl Strategy<Value = ((usize, usize, usize), Vec<f64>, Vec<f64>)> {
-    (1usize..48, 0usize..48, 1usize..48).prop_flat_map(|(n, k, m)| {
-        (
-            Just((n, k, m)),
-            prop::collection::vec(-10.0..10.0f64, n * k),
-            prop::collection::vec(-10.0..10.0f64, k * m),
-        )
-    })
-}
 
 /// Random NCHW conv case: input, kernel, dilation and padding. Channel
 /// counts reach 9, so blocks of four channels come with every remainder.
@@ -186,31 +162,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn matmul_bit_identical_across_threads(case in matmul_case()) {
-        let ((n, k, m), a, b) = case;
-        let ta = Tensor::from_vec(&[n, k], a);
-        let tb = Tensor::from_vec(&[k, m], b);
-        let serial = with_threads(1, || ta.matmul(&tb));
-        let pooled = with_threads(4, || ta.matmul(&tb));
-        assert_bit_identical(&serial, &pooled, "matmul");
-    }
-
-    #[test]
-    fn conv_forward_and_gradients_bit_identical_across_threads(c in conv_case()) {
-        let (ys, yp) = (
-            with_threads(1, || conv2d_forward(&c.x, &c.w, c.dil, c.pad)),
-            with_threads(4, || conv2d_forward(&c.x, &c.w, c.dil, c.pad)),
-        );
-        assert_bit_identical(&ys, &yp, "conv2d_forward");
-
-        let gout = Tensor::ones(ys.shape());
-        let (gxs, gws) = with_threads(1, || grads(&c.x, &c.w, &gout, c.dil, c.pad));
-        let (gxp, gwp) = with_threads(4, || grads(&c.x, &c.w, &gout, c.dil, c.pad));
-        assert_bit_identical(&gxs, &gxp, "conv2d grad_x");
-        assert_bit_identical(&gws, &gwp, "conv2d grad_w");
-    }
-
-    #[test]
     fn conv_matches_naive_reference_bit_for_bit(c in conv_case(), seed in 0u64..1000) {
         let y = conv2d_forward(&c.x, &c.w, c.dil, c.pad);
         let gout = Tensor::randn(&mut StdRng::seed_from_u64(seed), y.shape(), 1.0);
@@ -224,18 +175,16 @@ proptest! {
 
 #[test]
 fn empty_and_unit_matmul_edges() {
-    for t in [1usize, 4] {
-        // k = 0: well-defined all-zero output.
-        let a = Tensor::from_vec(&[3, 0], vec![]);
-        let b = Tensor::from_vec(&[0, 2], vec![]);
-        let y = with_threads(t, || a.matmul(&b));
-        assert_eq!(y.shape(), &[3, 2]);
-        assert!(y.data().iter().all(|&v| v == 0.0));
-        // 1×1 matmul.
-        let a1 = Tensor::from_vec(&[1, 1], vec![3.0]);
-        let b1 = Tensor::from_vec(&[1, 1], vec![-0.5]);
-        assert_eq!(with_threads(t, || a1.matmul(&b1)).data(), &[-1.5]);
-    }
+    // k = 0: well-defined all-zero output.
+    let a = Tensor::from_vec(&[3, 0], vec![]);
+    let b = Tensor::from_vec(&[0, 2], vec![]);
+    let y = a.matmul(&b);
+    assert_eq!(y.shape(), &[3, 2]);
+    assert!(y.data().iter().all(|&v| v == 0.0));
+    // 1×1 matmul.
+    let a1 = Tensor::from_vec(&[1, 1], vec![3.0]);
+    let b1 = Tensor::from_vec(&[1, 1], vec![-0.5]);
+    assert_eq!(a1.matmul(&b1).data(), &[-1.5]);
 }
 
 #[test]
@@ -243,57 +192,32 @@ fn unit_conv_edges_match_across_threads() {
     // 1×1 everything: single batch, channel, pixel, kernel.
     let x = Tensor::from_vec(&[1, 1, 1, 1], vec![2.5]);
     let w = Tensor::from_vec(&[1, 1, 1, 1], vec![-2.0]);
-    for t in [1usize, 4] {
-        let y = with_threads(t, || conv2d_forward(&x, &w, (1, 1), (0, 0, 0, 0)));
-        assert_eq!(y.data(), &[-5.0]);
-        let (gx, gw) =
-            with_threads(t, || grads(&x, &w, &Tensor::ones(&[1, 1, 1, 1]), (1, 1), (0, 0, 0, 0)));
-        assert_eq!(gx.data(), &[-2.0]);
-        assert_eq!(gw.data(), &[2.5]);
-    }
-}
-
-#[test]
-fn dilated_same_conv_bit_identical_across_threads() {
-    // The paper's DCONV/CCONV padding modes at a size large enough to
-    // exercise real fan-out.
-    let mut rng = StdRng::seed_from_u64(99);
-    let x = Tensor::randn(&mut rng, &[4, 3, 8, 30], 1.0);
-    let w = Tensor::randn(&mut rng, &[16, 3, 8, 3], 0.5);
-    let (pt, pb) = same_padding(8, 1);
-    let (pl, pr) = causal_padding(3, 2);
-    let pad = (pt, pb, pl, pr);
-    let serial = with_threads(1, || conv2d_forward(&x, &w, (1, 2), pad));
-    let pooled = with_threads(4, || conv2d_forward(&x, &w, (1, 2), pad));
-    assert_bit_identical(&serial, &pooled, "dilated SAME conv");
-    let gout = Tensor::ones(serial.shape());
-    let (gxs, gws) = with_threads(1, || grads(&x, &w, &gout, (1, 2), pad));
-    let (gxp, gwp) = with_threads(4, || grads(&x, &w, &gout, (1, 2), pad));
-    assert_bit_identical(&gxs, &gxp, "dilated SAME grad_x");
-    assert_bit_identical(&gws, &gwp, "dilated SAME grad_w");
+    let y = conv2d_forward(&x, &w, (1, 1), (0, 0, 0, 0));
+    assert_eq!(y.data(), &[-5.0]);
+    let (gx, gw) = grads(&x, &w, &Tensor::ones(&[1, 1, 1, 1]), (1, 1), (0, 0, 0, 0));
+    assert_eq!(gx.data(), &[-2.0]);
+    assert_eq!(gw.data(), &[2.5]);
 }
 
 #[test]
 fn gradcheck_passes_under_pooled_kernels() {
-    // Finite-difference certification of the conv + matmul backward rules
-    // while the 4-thread pool is active.
+    // Finite-difference certification of the conv backward rules over a
+    // two-sample batch, so grad-w adds per-sample window sums.
     let mut rng = StdRng::seed_from_u64(21);
     let mut store = ParamStore::new();
     let x = store.add("x", Tensor::randn(&mut rng, &[2, 2, 3, 8], 0.5));
     let w = store.add("w", Tensor::randn(&mut rng, &[4, 2, 1, 3], 0.5));
-    let report = with_threads(4, || {
-        gradcheck(
-            &mut store,
-            |g, bind| {
-                let y = g.conv2d(bind.node(x), bind.node(w), (1, 2), (0, 0, 4, 0));
-                let sq = g.square(y);
-                g.sum(sq)
-            },
-            1e-5,
-            1,
-        )
-    });
-    assert!(report.max_rel_err < 1e-6, "gradcheck under pool failed: {report:?}");
+    let report = gradcheck(
+        &mut store,
+        |g, bind| {
+            let y = g.conv2d(bind.node(x), bind.node(w), (1, 2), (0, 0, 4, 0));
+            let sq = g.square(y);
+            g.sum(sq)
+        },
+        1e-5,
+        1,
+    );
+    assert!(report.max_rel_err < 1e-6, "gradcheck failed: {report:?}");
 }
 
 /// One conv node of a shipped net: input shape `[c_in, h, w]` (the batch is
@@ -390,15 +314,10 @@ fn net_conv_shapes_match_golden_digests() {
         ("lstm.decision", 16, [0x93861ff4440e795f, 0xa59a98319f9077ab, 0x1a26f8dc723a3ad]),
         ("lstm.decision", 1, [0x9b0d7b6f2e8fb286, 0xa0e00d92adab6b65, 0xbdafdb00517df447]),
     ];
-    for t in [1usize, 4] {
-        let got: Vec<_> = with_threads(t, || {
-            let cases = NET_CONVS.iter().enumerate();
-            cases
-                .flat_map(|(i, c)| {
-                    [16, 1].map(|b| (c.name, b, net_conv_digests(c, b, 1000 + i as u64)))
-                })
-                .collect()
-        });
-        assert_eq!(got.as_slice(), GOLDEN.as_slice(), "conv outputs changed at {t} threads");
-    }
+    let got: Vec<_> = NET_CONVS
+        .iter()
+        .enumerate()
+        .flat_map(|(i, c)| [16, 1].map(|b| (c.name, b, net_conv_digests(c, b, 1000 + i as u64))))
+        .collect();
+    assert_eq!(got.as_slice(), GOLDEN.as_slice(), "conv outputs changed");
 }

@@ -6,7 +6,7 @@
 //! trivially identical.
 
 use ppn_tensor::gradcheck::gradcheck;
-use ppn_tensor::{conv, par, simd, storage, Graph, ParamStore, Tensor};
+use ppn_tensor::{conv, simd, storage, Graph, ParamStore, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -161,32 +161,24 @@ fn scalar_and_vector_kernels_bit_identical_on_random_shapes() {
             (Tensor::randn(&mut rng, &[cout, cin, 1, w], 0.5), (1, 1), (0, 0, 0, 0)),
         ];
 
-        for threads in [1usize, 4] {
-            par::with_threads(threads, || {
-                let run = || {
-                    let mut outs = vec![("matmul", a.matmul(&b))];
-                    for (wt, dil, pad) in &convs {
-                        let y = conv::conv2d_forward(&x, wt, *dil, *pad);
-                        let go = Tensor::ones(y.shape());
-                        outs.push(("gx", conv::conv2d_grad_x(&x, wt, &go, *dil, *pad)));
-                        outs.push(("gw", conv::conv2d_grad_w(&x, wt, &go, *dil, *pad)));
-                        outs.push(("conv_fwd", y));
-                    }
-                    outs
-                };
-                let vector = run();
-                let scalar = simd::force_scalar(run);
-                for ((name, got), (_, want)) in vector.iter().zip(&scalar) {
-                    assert_eq!(got.shape(), want.shape());
-                    for (gv, wv) in got.data().iter().zip(want.data()) {
-                        assert_eq!(
-                            gv.to_bits(),
-                            wv.to_bits(),
-                            "{name} diverged (round {round}, threads {threads})"
-                        );
-                    }
-                }
-            });
+        let run = || {
+            let mut outs = vec![("matmul", a.matmul(&b))];
+            for (wt, dil, pad) in &convs {
+                let y = conv::conv2d_forward(&x, wt, *dil, *pad);
+                let go = Tensor::ones(y.shape());
+                outs.push(("gx", conv::conv2d_grad_x(&x, wt, &go, *dil, *pad)));
+                outs.push(("gw", conv::conv2d_grad_w(&x, wt, &go, *dil, *pad)));
+                outs.push(("conv_fwd", y));
+            }
+            outs
+        };
+        let vector = run();
+        let scalar = simd::force_scalar(run);
+        for ((name, got), (_, want)) in vector.iter().zip(&scalar) {
+            assert_eq!(got.shape(), want.shape());
+            for (gv, wv) in got.data().iter().zip(want.data()) {
+                assert_eq!(gv.to_bits(), wv.to_bits(), "{name} diverged (round {round})");
+            }
         }
     }
 }
