@@ -455,6 +455,29 @@ mod tests {
     }
 
     #[test]
+    fn arena_frees_buffers_beyond_the_per_thread_cap() {
+        // 17 buffers of one 4 MiB class: 68 MiB, past the 64 MiB cap.
+        const N: usize = 1 << 19;
+        const SIZE: u64 = (N * BYTES) as u64;
+        let bufs: Vec<Storage> = (0..17).map(|_| Storage::zeroed(N)).collect();
+        let before = arena_stats();
+        for s in bufs {
+            drop(s);
+            assert!(arena_stats().held_bytes <= MAX_HELD_BYTES as u64);
+        }
+        let released = arena_stats();
+        let parked = (released.held_bytes - before.held_bytes) / SIZE;
+        assert_eq!(parked, 17.min((MAX_HELD_BYTES as u64 - before.held_bytes) / SIZE));
+        assert!(parked < 17, "the buffers past the cap must be freed");
+
+        let again: Vec<Storage> = (0..17).map(|_| Storage::zeroed(N)).collect();
+        let after = arena_stats();
+        assert_eq!(after.arena_hits - released.arena_hits, parked);
+        assert_eq!(after.arena_misses - released.arena_misses, 17 - parked);
+        assert!(again.iter().all(|s| s.iter().all(|&v| v == 0.0)));
+    }
+
+    #[test]
     fn oversize_buffers_bypass_arena() {
         let held = arena_stats().held_bytes;
         drop(Storage::zeroed(MAX_CLASS + 8));
