@@ -1,6 +1,6 @@
-//! no-unsafe failing fixture. Claimed outside the audited storage/simd
-//! modules both unsafe lines are violations; claimed at
-//! `crates/tensor/src/storage.rs` only the SAFETY-comment-less one is.
+//! no-unsafe failing fixture. Claimed outside the audited simd module both
+//! unsafe lines are violations; claimed at `crates/tensor/src/simd.rs` only
+//! the SAFETY-comment-less one is.
 
 /// Writes with a justification comment (fine inside audited files only).
 pub fn write_one(p: *mut f64) {

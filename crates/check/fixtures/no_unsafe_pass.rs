@@ -1,4 +1,4 @@
-//! no-unsafe passing fixture: claimed at `crates/tensor/src/storage.rs`,
+//! no-unsafe passing fixture: claimed at `crates/tensor/src/simd.rs`,
 //! where unsafe is permitted as long as every unsafe line carries a SAFETY
 //! comment on the same line or within three lines above.
 #![allow(unsafe_code)]

@@ -116,8 +116,9 @@ pub fn registry() -> Vec<Rule> {
         },
         Rule {
             id: "no-unsafe",
-            description: "unsafe_code is confined to the audited ppn-tensor storage/simd \
-                          modules, where every unsafe_code line needs an adjacent SAFETY comment",
+            description: "unsafe_code is confined to the audited ppn-tensor simd module (the \
+                          AVX2 intrinsics), where every unsafe_code line needs an adjacent \
+                          SAFETY comment",
             check: check_no_unsafe,
         },
         Rule {
@@ -624,13 +625,12 @@ fn check_no_thread(file: &SourceFile) -> Vec<Diagnostic> {
     out
 }
 
-/// The only files allowed to contain `unsafe` code: the aligned-allocation
-/// store and the AVX2 kernels. Both sit under a module-level
-/// `#![allow(unsafe_code)]` while the crate root stays `#![deny(unsafe_code)]`
-/// (see [`DENY_UNSAFE_CRATES`]), and every unsafe line inside them must carry
-/// an adjacent SAFETY comment — this rule audits exactly that.
-const UNSAFE_ALLOWED_FILES: [&str; 2] =
-    ["crates/tensor/src/storage.rs", "crates/tensor/src/simd.rs"];
+/// The only files allowed to contain `unsafe` code: the AVX2 kernels. The
+/// module sits under a module-level `#![allow(unsafe_code)]` while the crate
+/// root stays `#![deny(unsafe_code)]` (see [`DENY_UNSAFE_CRATES`]), and every
+/// unsafe line inside it must carry an adjacent SAFETY comment — this rule
+/// audits exactly that.
+const UNSAFE_ALLOWED_FILES: [&str; 1] = ["crates/tensor/src/simd.rs"];
 
 /// How many lines above an `unsafe` line a SAFETY comment may sit (covers a
 /// multi-line justification or an interleaved attribute).
@@ -713,8 +713,8 @@ fn check_no_unsafe(file: &SourceFile) -> Vec<Diagnostic> {
                 i,
                 "no-unsafe",
                 format!(
-                    "unsafe_code outside the audited storage/simd modules — route raw-pointer \
-                     work through ppn_tensor::storage (`{}`)",
+                    "unsafe_code outside the audited ppn_tensor::simd module — use safe \
+                     slices and boxes, as ppn_tensor::storage does (`{}`)",
                     line.code.trim()
                 ),
             ));
@@ -940,23 +940,23 @@ mod tests {
     #[test]
     fn no_unsafe_audited_files_require_safety_comments() {
         let bare = "pub fn f(p: *mut f64) {\n    unsafe { *p = 1.0 };\n}";
-        let storage =
-            |src| SourceFile::scan("crates/tensor/src/storage.rs", "ppn-tensor", Role::Lib, src);
-        let d = check_no_unsafe(&storage(bare));
+        let simd =
+            |src| SourceFile::scan("crates/tensor/src/simd.rs", "ppn-tensor", Role::Lib, src);
+        let d = check_no_unsafe(&simd(bare));
         assert_eq!(d.len(), 1, "audited file still needs a SAFETY comment");
         // Same line, directly above, and within-3-lines comments all count.
         let same = "pub fn f(p: *mut f64) {\n    unsafe { *p = 1.0 }; // SAFETY: p is valid\n}";
-        assert!(check_no_unsafe(&storage(same)).is_empty());
+        assert!(check_no_unsafe(&simd(same)).is_empty());
         let above = "pub fn f(p: *mut f64) {\n    // SAFETY: caller guarantees p is valid\n    unsafe { *p = 1.0 };\n}";
-        assert!(check_no_unsafe(&storage(above)).is_empty());
+        assert!(check_no_unsafe(&simd(above)).is_empty());
         let doc = "/// # Safety\n/// Caller must pass a valid pointer.\n#[inline]\npub unsafe fn f(p: *mut f64) {}";
-        assert!(check_no_unsafe(&storage(doc)).is_empty());
+        assert!(check_no_unsafe(&simd(doc)).is_empty());
         // The module-level opt-in attribute needs no justification.
         let optin = "#![allow(unsafe_code)]\npub fn f() {}";
-        assert!(check_no_unsafe(&storage(optin)).is_empty());
+        assert!(check_no_unsafe(&simd(optin)).is_empty());
         // A comment more than SAFETY_COMMENT_REACH lines away does not count.
         let far = "pub fn f(p: *mut f64) {\n    // SAFETY: far away\n    let a = 1;\n    let b = 2;\n    let c = 3;\n    unsafe { *p = a as f64 + b as f64 + c as f64 };\n}";
-        assert_eq!(check_no_unsafe(&storage(far)).len(), 1);
+        assert_eq!(check_no_unsafe(&simd(far)).len(), 1);
     }
 
     #[test]

@@ -179,7 +179,7 @@ fn diagnostics_render_rustc_style() {
 
 #[test]
 fn no_unsafe_fixtures() {
-    // Outside the audited storage/simd modules the keyword itself is the
+    // Outside the audited simd module the keyword itself is the
     // violation, SAFETY comment or not.
     assert_eq!(
         lint_fixture("no_unsafe_fail.rs", "crates/core/src/x.rs", "ppn-core"),
@@ -187,11 +187,11 @@ fn no_unsafe_fixtures() {
     );
     // Inside an audited file only the SAFETY-comment-less line is flagged.
     assert_eq!(
-        lint_fixture("no_unsafe_fail.rs", "crates/tensor/src/storage.rs", "ppn-tensor"),
+        lint_fixture("no_unsafe_fail.rs", "crates/tensor/src/simd.rs", "ppn-tensor"),
         vec!["no-unsafe"; 1],
     );
     assert_eq!(
-        lint_fixture("no_unsafe_pass.rs", "crates/tensor/src/storage.rs", "ppn-tensor"),
+        lint_fixture("no_unsafe_pass.rs", "crates/tensor/src/simd.rs", "ppn-tensor"),
         Vec::<&str>::new(),
     );
 }

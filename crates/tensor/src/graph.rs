@@ -30,7 +30,7 @@
 //! buffer population is identical sweep after sweep. The reuse plan is
 //! implicit in tensor lifetimes: [`Graph::reset`] (and the grad clear at
 //! the top of [`Graph::backward_with`]) drops each node's tensors, which
-//! parks their aligned buffers in the thread-local size-bucketed arena
+//! parks their buffers in the thread-local size-bucketed arena
 //! ([`crate::storage`]); the next sweep's node outputs and gradients then
 //! rebind those exact buffers (same size class → same free-list, LIFO).
 //! A reused tape's dropout bits live in one word buffer that

@@ -17,11 +17,6 @@ pub fn xavier_uniform<R: Rng>(
     Tensor::from_vec(shape, data)
 }
 
-/// He-normal initialisation (for ReLU stacks).
-pub fn he_normal<R: Rng>(rng: &mut R, shape: &[usize], fan_in: usize) -> Tensor {
-    Tensor::randn(rng, shape, (2.0 / fan_in as f64).sqrt())
-}
-
 /// Fans for an OIHW convolution kernel.
 pub fn conv_fans(shape: &[usize]) -> (usize, usize) {
     assert_eq!(shape.len(), 4);
@@ -42,14 +37,6 @@ mod tests {
         let limit = (6.0f64 / 100.0).sqrt();
         assert!(t.data().iter().all(|&x| x.abs() <= limit));
         assert!(t.mean().abs() < 0.02);
-    }
-
-    #[test]
-    fn he_normal_scale() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let t = he_normal(&mut rng, &[10_000], 8);
-        let var = t.map(|x| x * x).mean();
-        assert!((var - 0.25).abs() < 0.02, "var {var}");
     }
 
     #[test]

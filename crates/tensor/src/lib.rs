@@ -1,7 +1,7 @@
-// `deny` rather than `forbid`: the `storage` and `simd` modules carry the
-// crate's only audited `unsafe` (aligned allocation + AVX2 intrinsics) under
-// a module-level `allow`; everything else still refuses unsafe code. The
-// ppn-check `no-unsafe` rule audits every unsafe line in those two modules.
+// `deny` rather than `forbid`: the `simd` module carries the crate's only
+// audited `unsafe` (the AVX2 intrinsics) under a module-level `allow`;
+// everything else still refuses unsafe code. The ppn-check `no-unsafe` rule
+// audits every unsafe line in that module.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 //! # ppn-tensor
@@ -26,10 +26,10 @@
 //!   variable that runs whole independent jobs (experiment cells, test
 //!   clients) side by side; the kernels themselves run on the calling
 //!   thread,
-//! * a 32-byte-aligned backing store with a thread-local buffer-reuse
-//!   arena ([`storage`]) and register-blocked AXPY kernels ([`simd`],
-//!   optional AVX2 behind the `simd` cargo feature, used whenever the CPU
-//!   has it) — all bit-identical to the naive scalar loops.
+//! * a boxed-buffer backing store with a thread-local buffer-reuse arena
+//!   ([`storage`]) and register-blocked AXPY kernels ([`simd`], optional
+//!   AVX2 behind the `simd` cargo feature, used whenever the CPU has it) —
+//!   all bit-identical to the naive scalar loops.
 //!
 //! ## Quickstart
 //!

@@ -90,60 +90,6 @@ pub fn broadcast(a: &[usize], b: &[usize]) -> Option<Vec<usize>> {
     Some(out)
 }
 
-/// Iterator over all multi-indices of `shape` in row-major order.
-pub struct IndexIter {
-    shape: Vec<usize>,
-    cur: Vec<usize>,
-    done: bool,
-}
-
-impl IndexIter {
-    /// Starts iteration at the all-zeros index of `shape`.
-    pub fn new(shape: &[usize]) -> Self {
-        let done = numel(shape) == 0;
-        IndexIter { shape: shape.to_vec(), cur: vec![0; shape.len()], done }
-    }
-}
-
-impl Iterator for IndexIter {
-    type Item = Vec<usize>;
-
-    fn next(&mut self) -> Option<Vec<usize>> {
-        if self.done {
-            return None;
-        }
-        let out = self.cur.clone();
-        // Advance odometer-style.
-        let mut i = self.shape.len();
-        loop {
-            if i == 0 {
-                self.done = true;
-                break;
-            }
-            i -= 1;
-            self.cur[i] += 1;
-            if self.cur[i] < self.shape[i] {
-                break;
-            }
-            self.cur[i] = 0;
-        }
-        Some(out)
-    }
-}
-
-/// Maps a multi-index in the broadcast output shape back to the flat offset
-/// in an operand of shape `src` (dims of size 1 are pinned at 0).
-pub fn broadcast_offset(src: &[usize], out_idx: &[usize]) -> usize {
-    let st = strides(src);
-    let skip = out_idx.len() - src.len();
-    let mut off = 0;
-    for (d, &s) in st.iter().enumerate() {
-        let i = out_idx[skip + d];
-        off += if src[d] == 1 { 0 } else { i * s };
-    }
-    off
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,24 +114,6 @@ mod tests {
         assert_eq!(broadcast(&[3], &[2, 3]), Some(vec![2, 3]));
         assert_eq!(broadcast(&[], &[4]), Some(vec![4]));
         assert_eq!(broadcast(&[2, 3], &[3, 2]), None);
-    }
-
-    #[test]
-    fn index_iter_covers_all() {
-        let v: Vec<_> = IndexIter::new(&[2, 2]).collect();
-        assert_eq!(v, vec![vec![0, 0], vec![0, 1], vec![1, 0], vec![1, 1]]);
-        assert_eq!(IndexIter::new(&[0, 3]).count(), 0);
-        // Scalar shape yields exactly one (empty) index.
-        assert_eq!(IndexIter::new(&[]).count(), 1);
-    }
-
-    #[test]
-    fn broadcast_offset_pins_unit_dims() {
-        // src [1,3] broadcast into [2,3]: row index ignored.
-        assert_eq!(broadcast_offset(&[1, 3], &[1, 2]), 2);
-        assert_eq!(broadcast_offset(&[1, 3], &[0, 2]), 2);
-        // src [3] broadcast into [2,3]: leading dim skipped.
-        assert_eq!(broadcast_offset(&[3], &[1, 2]), 2);
     }
 
     #[test]

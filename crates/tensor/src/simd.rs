@@ -6,9 +6,10 @@
 //! feature) perform the *same* operations per lane — `_mm256_mul_pd`
 //! followed by `_mm256_add_pd`, never a fused multiply-add — so each output
 //! element sees the identical sequence of IEEE-754 roundings and the result
-//! is bit-identical to the scalar path. The storage layer guarantees
-//! 32-byte-aligned buffer bases, which keeps the (unaligned-encoded) loads
-//! on cache-line-friendly addresses for the common full-row case.
+//! is bit-identical to the scalar path. No alignment beyond `f64`'s own is
+//! guaranteed for the buffers (glibc's `malloc` gives 16 bytes on x86-64), so
+//! every load and store is the unaligned form (`_mm256_loadu_pd`,
+//! `_mm256_storeu_pd`); a 4-wide access may straddle a cache line.
 //!
 //! The intrinsics engage exactly when the `simd` feature is compiled in and
 //! the CPU reports AVX2 (detected once). [`force_scalar`] scopes the scalar

@@ -1,12 +1,12 @@
 //! Dense row-major `f64` tensor.
 //!
 //! This is the value type flowing through the autodiff graph. It is
-//! deliberately simple: owned 32-byte-aligned [`Storage`], eager ops, no
-//! views. The PPN workloads are small (m ≤ 64 assets, k = 30 periods, ≤ 16
-//! channels), so clarity and testability win over zero-copy cleverness —
-//! but the backing store and the matmul inner loop are tuned (alignment,
-//! register blocking, arena reuse; see [`crate::storage`] and
-//! [`crate::simd`]) because they dominate every trainer step.
+//! deliberately simple: owned [`Storage`], eager ops, no views. The PPN
+//! workloads are small (m ≤ 64 assets, k = 30 periods, ≤ 16 channels), so
+//! clarity and testability win over zero-copy cleverness — but the backing
+//! store and the matmul inner loop are tuned (arena reuse, register
+//! blocking; see [`crate::storage`] and [`crate::simd`]) because they
+//! dominate every trainer step.
 
 use crate::shape::{self, broadcast, numel};
 use crate::storage::Storage;
@@ -56,7 +56,7 @@ impl Tensor {
         Tensor { shape: shape.to_vec(), data: Storage::from_slice(&data) }
     }
 
-    /// Builds a tensor directly over an aligned buffer (internal fast path;
+    /// Builds a tensor directly over an arena buffer (internal fast path;
     /// callers must have sized the buffer to the shape).
     pub(crate) fn from_storage(shape: &[usize], data: Storage) -> Self {
         debug_assert_eq!(numel(shape), data.len());
@@ -86,16 +86,17 @@ impl Tensor {
     /// Standard-normal-filled tensor scaled by `std`.
     pub fn randn<R: Rng>(rng: &mut R, shape: &[usize], std: f64) -> Self {
         let n = numel(shape);
-        let mut data = Storage::with_capacity(n);
-        // Box–Muller; rand 0.8's Standard distribution gives uniforms.
-        while data.len() < n {
+        let mut data = Storage::uninit(n);
+        // Box–Muller; rand 0.8's Standard distribution gives uniforms. Each
+        // pair of draws fills two elements (an odd tail drops the sine).
+        for pair in data.chunks_mut(2) {
             let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
             let u2: f64 = rng.gen::<f64>();
             let r = (-2.0 * u1.ln()).sqrt();
             let theta = 2.0 * std::f64::consts::PI * u2;
-            data.push(r * theta.cos() * std);
-            if data.len() < n {
-                data.push(r * theta.sin() * std);
+            pair[0] = r * theta.cos() * std;
+            if let Some(second) = pair.get_mut(1) {
+                *second = r * theta.sin() * std;
             }
         }
         Tensor { shape: shape.to_vec(), data }
@@ -389,11 +390,6 @@ impl Tensor {
         Tensor { shape: out_shape, data: out }
     }
 
-    /// L1 norm of the whole buffer.
-    pub fn l1_norm(&self) -> f64 {
-        self.data.iter().map(|x| x.abs()).sum()
-    }
-
     /// L2 norm of the whole buffer.
     pub fn l2_norm(&self) -> f64 {
         self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
@@ -651,7 +647,6 @@ mod tests {
     #[test]
     fn norms() {
         let t = Tensor::from_vec(&[3], vec![3.0, -4.0, 0.0]);
-        assert_eq!(t.l1_norm(), 7.0);
         assert_eq!(t.l2_norm(), 5.0);
     }
 }

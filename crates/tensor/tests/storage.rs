@@ -1,5 +1,5 @@
-//! Integration tests for the aligned storage layer, the buffer-reuse arena,
-//! and the scalar/vector kernel bit-identity guarantee.
+//! Integration tests for the storage layer, the buffer-reuse arena, and the
+//! scalar/vector kernel bit-identity guarantee.
 //!
 //! These run with and without the `simd` cargo feature (CI exercises both);
 //! without it the vector paths are compiled out and the comparisons are
@@ -10,37 +10,20 @@ use ppn_tensor::{conv, simd, storage, Graph, ParamStore, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn aligned32(ptr: *const f64) -> bool {
-    (ptr as usize).is_multiple_of(32)
-}
-
 #[test]
-fn alignment_survives_construction_growth_clone_and_serde() {
+fn clone_and_serde_round_trips_keep_shape_and_values() {
     let mut rng = StdRng::seed_from_u64(11);
     let t = Tensor::randn(&mut rng, &[7, 13], 1.0);
-    assert!(aligned32(t.data().as_ptr()));
-
-    // Incremental growth across several size classes stays aligned.
-    let mut s = storage::Storage::with_capacity(1);
-    for i in 0..5000 {
-        s.push(i as f64 * 0.5);
-        debug_assert!(aligned32(s.as_ptr()));
-    }
-    assert!(aligned32(s.as_ptr()));
-    assert_eq!(s.len(), 5000);
-    assert_eq!(s[4999], 4999.0 * 0.5);
 
     let c = t.clone();
-    assert!(aligned32(c.data().as_ptr()));
     assert_eq!(c, t);
+    assert_ne!(c.data().as_ptr(), t.data().as_ptr(), "a clone owns its own buffer");
 
-    // Serde round-trip re-enters through Storage::from_slice: aligned, and
-    // values survive exactly (randn values are short decimals' worth of
-    // noise, so compare bitwise).
+    // Serde round-trip re-enters through Storage::from_slice; the values
+    // survive to within the JSON text's precision.
     let json = serde_json::to_vec(&t).expect("tensor serializes");
     let back: Tensor = serde_json::from_slice(&json).expect("tensor deserializes");
     assert_eq!(back.shape(), t.shape());
-    assert!(aligned32(back.data().as_ptr()));
     for (a, b) in back.data().iter().zip(t.data()) {
         assert!((a - b).abs() < 1e-12);
     }
