@@ -4,10 +4,10 @@
 //!
 //! This module only *computes*; the thread that drives it lives in
 //! [`crate::server`] (the `no-thread` lint allowlists only the listener
-//! module). The heavy lifting inside `act_batch` runs on the
-//! `ppn_tensor::par` worker pool via the tensor kernels, and each output
-//! row is bit-identical to a single-request forward pass by the kernels'
-//! row-independence guarantee.
+//! module). The forward pass inside `act_batch` runs on that batcher
+//! thread itself (the tensor kernels run on their calling thread), and
+//! each output row is bit-identical to a single-request forward pass by
+//! the kernels' row-independence guarantee.
 
 use crate::queue::QueuedRequest;
 use crate::registry::ModelRegistry;

@@ -18,8 +18,8 @@
 //!                                            │ next_batch(≤max_batch), condvar wake
 //!                                            ▼
 //!                                     batcher thread ── act_batch (one forward
-//!                                            │          pass on the ppn_tensor::par
-//!                                            │          pool; disconnected jobs
+//!                                            │          pass, run on this thread;
+//!                                            │          disconnected jobs
 //!                                            │          skipped pre-forward)
 //! client ◀── ordered pipelined responses ◀───┘  (one-shot reply slots + waker)
 //! ```
