@@ -745,19 +745,28 @@ fn check_no_unsafe(file: &SourceFile) -> Vec<Diagnostic> {
 }
 
 /// (file suffix, hot function names) pairs: the tape backward sweep, the
-/// fused ops' element loops and the kernel inner loops. A fresh heap allocation in these shows up on every
-/// training step and defeats the storage arena, so it must go through
+/// fused ops' element loops, the kernel inner loops and Adam's in-place
+/// update. A fresh heap allocation in these shows up on every training
+/// step and defeats the storage arena, so it must go through
 /// `Storage::uninit`/`Storage::zeroed` (arena-backed) or stack scratch
 /// (`shape::with_dims`) instead.
-const HOT_ALLOC_FILES: [(&str, &[&str]); 4] = [
+const HOT_ALLOC_FILES: [(&str, &[&str]); 5] = [
     (
         "crates/tensor/src/graph.rs",
-        &["backward_with", "propagate", "accumulate", "reduce_into", "route2"],
+        &[
+            "backward_with",
+            "propagate",
+            "accumulate",
+            "reduce_into",
+            "route2",
+            "matmul_grads",
+            "conv_grads",
+        ],
     ),
     (
         "crates/tensor/src/fused.rs",
         &[
-            "bias_dropout_relu",
+            "bias_dropout_relu_in_place",
             "bias_dropout_relu_grad",
             "lstm_gates",
             "lstm_gates_grad",
@@ -781,6 +790,7 @@ const HOT_ALLOC_FILES: [(&str, &[&str]); 4] = [
         ],
     ),
     ("crates/tensor/src/tensor.rs", &["matmul_rows"]),
+    ("crates/tensor/src/optim.rs", &["adam_update"]),
 ];
 
 /// Allocation constructs flagged inside the hot functions above.

@@ -228,8 +228,8 @@ pub fn conv2d_forward(x: &Tensor, w: &Tensor, dilation: Dilation, pad: Padding) 
             forward_rows(&d, xd, wd, bi, oc0, planes);
         }
     });
-    crate::tensor::observe_kernel_ms("tensor.conv_fwd_ms", timer);
-    crate::tensor::observe_kernel_ms("tensor.conv_ms", timer);
+    crate::tensor::CONV_FWD_MS.observe_since(timer);
+    crate::tensor::CONV_MS.observe_since(timer);
     Tensor::from_storage(&d.out_shape(), out)
 }
 
@@ -384,7 +384,7 @@ pub fn conv2d_grad_x(
             grad_x_rows(&d, wd, gd, bi, gx_sample);
         }
     }
-    crate::tensor::observe_kernel_ms("tensor.conv_grad_x_ms", timer);
+    crate::tensor::CONV_GRAD_X_MS.observe_since(timer);
     Tensor::from_storage(x.shape(), gx)
 }
 
@@ -479,7 +479,7 @@ pub fn conv2d_grad_w(
             grad_w_rows(&d, xd, gd, oc, gw_plane);
         }
     }
-    crate::tensor::observe_kernel_ms("tensor.conv_grad_w_ms", timer);
+    crate::tensor::CONV_GRAD_W_MS.observe_since(timer);
     Tensor::from_storage(w.shape(), gw)
 }
 

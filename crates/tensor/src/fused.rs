@@ -3,13 +3,18 @@
 //! Each fused op replaces a chain of primitive tape nodes with one node and
 //! computes, element by element, the same expressions in the same order as
 //! the chain did, so forward values and gradients keep every bit. The graph
-//! (`crate::graph`) owns the nodes; these functions only fill buffers.
+//! (`crate::graph`) owns the nodes and runs the kernels (convolution,
+//! matmul); these functions only fill buffers.
 //!
-//! * **bias → dropout → ReLU** after a convolution: `y = relu((x + b) · m)`
-//!   with `m` the inverted-dropout factor (`1/keep` or `0`), held as bits.
+//! * **conv → bias → dropout → ReLU**: `y = relu((conv(x, w) + b) · m)` with
+//!   `m` the inverted-dropout factor (`1/keep` or `0`), held as bits. The
+//!   epilogue runs in place on the convolution's output buffer, so the tape
+//!   keeps one tensor per conv layer, not two.
 //! * **LSTM step**, as three nodes: the gates `[i | f | ĉ | o]` from
-//!   `z = (x·W + h·U) + b`, the cell `c = f·c_prev + i·ĉ`, and the hidden
-//!   state `h = o·tanh(c)`.
+//!   `z = (x·W + h·U) + b`, written over the buffer of `x·W` (the gates
+//!   node drops `h·U` once the gates exist, so the tape keeps neither
+//!   product), the cell `c = f·c_prev + i·ĉ`, and the hidden state
+//!   `h = o·tanh(c)`.
 
 /// Bits per mask word.
 pub(crate) const MASK_BITS: usize = 64;
@@ -28,38 +33,37 @@ fn factor(mask: &[u64], e: usize, scale: f64) -> f64 {
     }
 }
 
-/// `out = relu((x + bias[c]) · m)` over an NCHW tensor, where `plane` is
-/// `H·W` and `bias` has one entry per channel. Without a mask the factor is
-/// skipped, not multiplied by one.
-pub(crate) fn bias_dropout_relu(
-    x: &[f64],
+/// `y ← relu((y + bias[c]) · m)` in place over an NCHW tensor, where
+/// `plane` is `H·W` and `bias` has one entry per channel. The buffer holds
+/// a convolution's output on entry and the op's output on return. Without
+/// a mask the factor is skipped, not multiplied by one.
+pub(crate) fn bias_dropout_relu_in_place(
+    y: &mut [f64],
     bias: &[f64],
     plane: usize,
     mask: Option<(&[u64], f64)>,
-    out: &mut [f64],
 ) {
     let channels = bias.len();
-    let planes = x.chunks_exact(plane).zip(out.chunks_exact_mut(plane));
-    for (p, (xs, ys)) in planes.enumerate() {
+    for (p, ys) in y.chunks_exact_mut(plane).enumerate() {
         let b = bias[p % channels];
         match mask {
             None => {
-                for (y, &v) in ys.iter_mut().zip(xs) {
-                    *y = (v + b).max(0.0);
+                for y in ys.iter_mut() {
+                    *y = (*y + b).max(0.0);
                 }
             }
             Some((bits, scale)) => {
-                for (j, (y, &v)) in ys.iter_mut().zip(xs).enumerate() {
-                    *y = ((v + b) * factor(bits, p * plane + j, scale)).max(0.0);
+                for (j, y) in ys.iter_mut().enumerate() {
+                    *y = ((*y + b) * factor(bits, p * plane + j, scale)).max(0.0);
                 }
             }
         }
     }
 }
 
-/// Backward of [`bias_dropout_relu`] in place: `g ← (g · [y > 0]) · m`.
-/// The ReLU's input is positive exactly where its output is, so the
-/// derivative reads the stored output `y`. When `bias_grad` (zeroed, one
+/// Backward of [`bias_dropout_relu_in_place`], also in place:
+/// `g ← (g · [y > 0]) · m`. The ReLU's input is positive exactly where its
+/// output is, so the derivative reads the stored output `y`. When `bias_grad` (zeroed, one
 /// entry per channel) is given, each plane's result is also summed into
 /// its channel in flat order, the order a broadcast reduction to `(C, 1, 1)`
 /// adds in.
@@ -96,26 +100,28 @@ fn sigmoid(v: f64) -> f64 {
     1.0 / (1.0 + (-v).exp())
 }
 
-/// Gate activations of one LSTM step: per row of `hidden`-wide segments
-/// `[i | f | ĉ | o]`, `z = (xw + hu) + bias` and then sigmoid, sigmoid,
-/// tanh, sigmoid.
-pub(crate) fn lstm_gates(xw: &[f64], hu: &[f64], bias: &[f64], hidden: usize, out: &mut [f64]) {
+/// Gate activations of one LSTM step, written over `xw`: per row of
+/// `hidden`-wide segments `[i | f | ĉ | o]`, `z = (xw + hu) + bias` and
+/// then sigmoid, sigmoid, tanh, sigmoid.
+pub(crate) fn lstm_gates(xw: &mut [f64], hu: &[f64], bias: &[f64], hidden: usize) {
     let width = 4 * hidden;
-    let rows = xw.chunks_exact(width).zip(hu.chunks_exact(width)).zip(out.chunks_exact_mut(width));
-    for ((xr, hr), or) in rows {
-        for (j, o) in or.iter_mut().enumerate() {
-            let z = (xr[j] + hr[j]) + bias[j];
+    for (zr, hr) in xw.chunks_exact_mut(width).zip(hu.chunks_exact(width)) {
+        for (j, o) in zr.iter_mut().enumerate() {
+            let z = (*o + hr[j]) + bias[j];
             *o = if j / hidden == 2 { z.tanh() } else { sigmoid(z) };
         }
     }
 }
 
-/// Backward of [`lstm_gates`] in place: `g ← g · act′ + 0`, with the
-/// activation derivative read from the stored gates. The trailing `+ 0`
-/// (which turns `−0` into `+0`) is part of the contract: the unfused step
-/// assembled `z`'s gradient from four zero-filled slice gradients. When
-/// `bias_grad` (zeroed, `4H` wide) is given, the rows are also summed into
-/// it in row order.
+/// Backward of [`lstm_gates`] in place: `g ← g · act′`, with the
+/// activation derivative read from the stored gates. When `bias_grad`
+/// (zeroed, `4H` wide) is given, the rows are also summed into it in row
+/// order.
+///
+/// A saturated gate's `act′` is exactly `0`, so `g` can hold `−0`. No leaf
+/// sees that sign: every reader of `g` (the bias sum and the four matmuls
+/// of the two products' backward) accumulates from `+0`, and
+/// `+0 + (−0)` is `+0`.
 pub(crate) fn lstm_gates_grad(
     g: &mut [f64],
     gates: &[f64],
@@ -126,7 +132,7 @@ pub(crate) fn lstm_gates_grad(
     for (gr, yr) in g.chunks_exact_mut(width).zip(gates.chunks_exact(width)) {
         for (j, (d, &v)) in gr.iter_mut().zip(yr).enumerate() {
             let act = if j / hidden == 2 { 1.0 - v * v } else { v * (1.0 - v) };
-            *d = *d * act + 0.0;
+            *d *= act;
         }
         if let Some(bg) = bias_grad.as_deref_mut() {
             for (b, &d) in bg.iter_mut().zip(gr.iter()) {

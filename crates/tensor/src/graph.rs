@@ -17,12 +17,15 @@
 //!
 //! ## Fused ops
 //!
-//! The two glue chains that dominated the PPN tape are single nodes:
-//! [`Graph::bias_dropout_relu`] (a conv's bias, inverted dropout and ReLU,
-//! with the mask held as bits) and [`Graph::lstm_step`] (gates, cell and
-//! hidden state of one LSTM step). Their loops (`crate::fused`) compute the
-//! same per-element expressions in the same order as the primitive chains
-//! they replace, so results are bit-identical.
+//! The two glue chains that dominated the PPN tape are fused:
+//! [`Graph::conv_bias_dropout_relu`] is one node for a convolution, its
+//! bias, inverted dropout and ReLU (the mask held as bits), and
+//! [`Graph::lstm_step`] is three nodes for one LSTM step (gates, cell and
+//! hidden state). Their loops (`crate::fused`) compute the same
+//! per-element expressions in the same order as the primitive chains they
+//! replace, so results are bit-identical. Neither keeps a value that no
+//! backward reads: the conv's epilogue runs in place on its output, and
+//! the LSTM gates node drops its two matmul products once the gates exist.
 //!
 //! ## Buffer reuse across steps
 //!
@@ -37,9 +40,9 @@
 //! [`Graph::reset`] clears without freeing. So after the first step a
 //! steady-state trainer loop on a reused tape allocates nothing, provided
 //! the buffers one step holds at its peak fit under the arena's per-thread
-//! cap (64 MiB). A paper-sized PPN step peaks near 20 MB; before the fused
-//! ops and leaf-only gradients it held about 94 MB, so every step sent
-//! about 65 MB of buffers back to the system allocator. The
+//! cap (64 MiB). A paper-sized PPN step keeps about 11 MB of node values;
+//! before the fused ops and leaf-only gradients it held about 94 MB, so
+//! every step sent about 65 MB of buffers back to the system allocator. The
 //! `tensor.arena_hits` / `tensor.alloc_bytes` counters flushed at the end of
 //! every backward sweep, and [`Graph::tape_stats`], show which case holds.
 //! Within a sweep, backward arms write into the gradient they own or into
@@ -107,16 +110,23 @@ enum Op {
         dilation: Dilation,
         pad: Padding,
     },
-    /// `relu((x + bias) · m)`; `mask` is `None` when dropout is off.
-    BiasDropoutRelu {
+    /// `relu((conv(x, w) + bias) · m)`; `mask` is `None` when dropout is
+    /// off.
+    ConvBiasDropoutRelu {
         x: NodeId,
+        w: NodeId,
+        dilation: Dilation,
+        pad: Padding,
         bias: NodeId,
         mask: Option<Dropout>,
     },
-    /// LSTM gate activations `[i | f | ĉ | o]` of `z = (xw + hu) + bias`.
+    /// LSTM gate activations `[i | f | ĉ | o]` of
+    /// `z = (x·w + h·u) + bias`.
     LstmGates {
-        xw: NodeId,
-        hu: NodeId,
+        x: NodeId,
+        w: NodeId,
+        h: NodeId,
+        u: NodeId,
         bias: NodeId,
         hidden: usize,
     },
@@ -154,7 +164,7 @@ struct Node {
 #[derive(Default)]
 pub struct Graph {
     nodes: Vec<Node>,
-    /// Dropout mask bits of every [`Op::BiasDropoutRelu`] node, packed
+    /// Dropout mask bits of every [`Op::ConvBiasDropoutRelu`] node, packed
     /// `MASK_BITS` to a word, one word-aligned run per node.
     masks: Vec<u64>,
 }
@@ -493,33 +503,44 @@ impl Graph {
         self.push(Op::Conv2d { x, w, dilation, pad }, v, rg)
     }
 
-    /// `relu((x + bias) · m)` as one node: the per-channel bias of a
-    /// convolution, inverted dropout and a ReLU.
+    /// `relu((conv(x, w) + bias) · m)` as one node: a convolution as in
+    /// [`Graph::conv2d`], its per-channel bias, inverted dropout and a
+    /// ReLU. The epilogue runs in place on the convolution's output, which
+    /// is then the node's value: backward reads that output and the
+    /// convolution's operands, never the pre-bias activations.
     ///
-    /// `x` is `(B, C, H, W)` and `bias` is `(C, 1, 1)`. In training mode
-    /// with `p > 0`, `m` is `1/(1−p)` for each element that survives and `0`
-    /// for each one dropped; the op draws one `rng.gen::<f64>()` per
-    /// element in flat order (survival is `u < 1 − p`) and keeps the mask
-    /// as bits. Otherwise no `m` is applied and `rng` is not touched.
+    /// The convolution's output is `(B, C, H, W)` and `bias` is `(C, 1, 1)`.
+    /// In training mode with `p > 0`, `m` is `1/(1−p)` for each element
+    /// that survives and `0` for each one dropped; the op draws one
+    /// `rng.gen::<f64>()` per element in flat order (survival is
+    /// `u < 1 − p`) after the convolution and keeps the mask as bits.
+    /// Otherwise no `m` is applied and `rng` is not touched.
     ///
     /// # Panics
     /// Panics unless `p` is in `[0, 1)` and the shapes are as above.
-    pub fn bias_dropout_relu<R: Rng>(
+    #[allow(clippy::too_many_arguments)] // a convolution's four operands plus bias and dropout
+    pub fn conv_bias_dropout_relu<R: Rng>(
         &mut self,
         x: NodeId,
+        w: NodeId,
+        dilation: Dilation,
+        pad: Padding,
         bias: NodeId,
         p: f64,
         training: bool,
         rng: &mut R,
     ) -> NodeId {
         assert!((0.0..1.0).contains(&p), "dropout rate {p}");
-        let xs = self.value(x).shape().to_vec();
+        let mut y = conv2d_forward(self.value(x), self.value(w), dilation, pad);
+        let (channels, plane) = (y.shape()[1], y.shape()[2] * y.shape()[3]);
         assert!(
-            xs.len() == 4 && self.value(bias).shape() == [xs[1], 1, 1],
-            "bias_dropout_relu wants (B, C, H, W) and (C, 1, 1), got {xs:?} and {:?}",
-            self.value(bias).shape()
+            self.value(bias).shape() == [channels, 1, 1],
+            "conv_bias_dropout_relu wants a (C, 1, 1) bias for a (B, C, H, W) output, \
+             got {:?} and {:?}",
+            self.value(bias).shape(),
+            y.shape()
         );
-        let n = self.value(x).len();
+        let n = y.len();
         let mask = (training && !crate::approx::is_zero(p)).then(|| {
             let keep = 1.0 - p;
             let word = self.masks.len();
@@ -531,60 +552,55 @@ impl Graph {
             }
             Dropout { word, scale: 1.0 / keep }
         });
-        let mut out = Storage::uninit(n);
-        fused::bias_dropout_relu(
-            self.value(x).data(),
+        fused::bias_dropout_relu_in_place(
+            y.data_mut(),
             self.value(bias).data(),
-            xs[2] * xs[3],
+            plane,
             mask.map(|m| (&self.masks[m.word..], m.scale)),
-            &mut out,
         );
-        let rg = self.rg(x) || self.rg(bias);
-        self.push(Op::BiasDropoutRelu { x, bias, mask }, Tensor::from_storage(&xs, out), rg)
+        let rg = self.rg(x) || self.rg(w) || self.rg(bias);
+        self.push(Op::ConvBiasDropoutRelu { x, w, dilation, pad, bias, mask }, y, rg)
     }
 
     /// One LSTM step as three nodes; returns `(h, c)`.
     ///
-    /// `xw = x·W` and `hu = h_prev·U` are `(B, 4H)` matmul nodes, `bias` is
-    /// `(4H,)` and `c_prev` is `(B, H)`. The gates `[i | f | ĉ | o]` are
-    /// sigmoid, sigmoid, tanh, sigmoid of `z = (xw + hu) + bias`; then
+    /// `x` is `(B, D)`, `w` is `(D, 4H)`, `h_prev` is `(B, H)`, `u` is
+    /// `(H, 4H)`, `bias` is `(4H,)` and `c_prev` is `(B, H)`. The gates node
+    /// computes `x·W` and `h_prev·U` with [`Tensor::matmul`] as temporaries
+    /// (`x·W`'s buffer becomes the gates, `h_prev·U`'s is dropped), so the
+    /// tape keeps neither product. The gates `[i | f | ĉ | o]` are sigmoid,
+    /// sigmoid, tanh, sigmoid of `z = (x·W + h_prev·U) + bias`; then
     /// `c = f·c_prev + i·ĉ` and `h = o·tanh(c)`.
     ///
     /// # Panics
     /// Panics if the shapes disagree.
     pub fn lstm_step(
         &mut self,
-        xw: NodeId,
-        hu: NodeId,
+        x: NodeId,
+        w: NodeId,
+        h_prev: NodeId,
+        u: NodeId,
         bias: NodeId,
         c_prev: NodeId,
     ) -> (NodeId, NodeId) {
-        let zs = self.value(xw).shape().to_vec();
-        let (rows, hidden) = match zs[..] {
-            [rows, width] => (rows, width / 4),
-            _ => (0, 0),
-        };
+        let mut z = self.value(x).matmul(self.value(w));
+        let hu = self.value(h_prev).matmul(self.value(u));
+        let (rows, hidden) = (z.shape()[0], z.shape()[1] / 4);
         assert!(
-            zs == [rows, 4 * hidden]
-                && self.value(hu).shape() == zs
+            z.shape() == [rows, 4 * hidden]
+                && hu.shape() == z.shape()
                 && self.value(bias).shape() == [4 * hidden]
                 && self.value(c_prev).shape() == [rows, hidden],
-            "lstm_step shapes: xw {zs:?}, hu {:?}, bias {:?}, c_prev {:?}",
-            self.value(hu).shape(),
+            "lstm_step shapes: x·w {:?}, h_prev·u {:?}, bias {:?}, c_prev {:?}",
+            z.shape(),
+            hu.shape(),
             self.value(bias).shape(),
             self.value(c_prev).shape()
         );
-        let mut z = Storage::uninit(rows * 4 * hidden);
-        fused::lstm_gates(
-            self.value(xw).data(),
-            self.value(hu).data(),
-            self.value(bias).data(),
-            hidden,
-            &mut z,
-        );
-        let rg = self.rg(xw) || self.rg(hu) || self.rg(bias);
-        let gates =
-            self.push(Op::LstmGates { xw, hu, bias, hidden }, Tensor::from_storage(&zs, z), rg);
+        fused::lstm_gates(z.data_mut(), hu.data(), self.value(bias).data(), hidden);
+        drop(hu);
+        let rg = self.rg(x) || self.rg(w) || self.rg(h_prev) || self.rg(u) || self.rg(bias);
+        let gates = self.push(Op::LstmGates { x, w, h: h_prev, u, bias, hidden }, z, rg);
 
         let mut c = Storage::uninit(rows * hidden);
         fused::lstm_cell(self.value(gates).data(), self.value(c_prev).data(), hidden, &mut c);
@@ -702,10 +718,7 @@ impl Graph {
             }
             Op::AddScalar(x, _) => accumulate(inputs, *x, Some(g)),
             Op::MatMul(a, b) => {
-                // dA = G Bᵀ, dB = Aᵀ G
-                let (va, vb) = (&inputs[a.0].value, &inputs[b.0].value);
-                let ga = wants(inputs, a).then(|| g.matmul(&vb.transpose2()));
-                let gb = wants(inputs, b).then(|| va.transpose2().matmul(&g));
+                let (ga, gb) = matmul_grads(inputs, a, b, &g);
                 accumulate(inputs, *a, ga);
                 accumulate(inputs, *b, gb);
             }
@@ -834,18 +847,9 @@ impl Graph {
                 accumulate(inputs, *x, Some(gx));
             }
             Op::Conv2d { x, w, dilation, pad } => {
-                // The first conv of a net reads a data leaf, whose grad-x
-                // nobody reads, so it is not computed. One `tensor.conv_ms`
-                // observation covers the whole node.
-                let timer = crate::tensor::kernel_timer();
-                let (xv, wv) = (&inputs[x.0].value, &inputs[w.0].value);
-                let gx = wants(inputs, x).then(|| conv2d_grad_x(xv, wv, &g, *dilation, *pad));
-                let gw = wants(inputs, w).then(|| conv2d_grad_w(xv, wv, &g, *dilation, *pad));
-                crate::tensor::observe_kernel_ms("tensor.conv_ms", timer);
-                accumulate(inputs, *x, gx);
-                accumulate(inputs, *w, gw);
+                conv_grads(inputs, *x, *w, *dilation, *pad, &g);
             }
-            Op::BiasDropoutRelu { x, bias, mask } => {
+            Op::ConvBiasDropoutRelu { x, w, dilation, pad, bias, mask } => {
                 let mask = mask.map(|m| (&masks[m.word..], m.scale));
                 let plane = y.shape()[2] * y.shape()[3];
                 let bs = shape_if(inputs, bias);
@@ -859,17 +863,25 @@ impl Graph {
                 );
                 let gb = bs.zip(gb).map(|(s, gb)| Tensor::from_storage(s, gb));
                 accumulate(inputs, *bias, gb);
-                accumulate(inputs, *x, Some(g));
+                // `g` is now the convolution output's gradient.
+                conv_grads(inputs, *x, *w, *dilation, *pad, &g);
             }
-            Op::LstmGates { xw, hu, bias, hidden } => {
+            Op::LstmGates { x, w, h, u, bias, hidden } => {
                 let bs = shape_if(inputs, bias);
                 let mut gb = bs.map(|s| Storage::zeroed(shape::numel(s)));
                 fused::lstm_gates_grad(g.data_mut(), y.data(), *hidden, gb.as_deref_mut());
                 let gb = bs.zip(gb).map(|(s, gb)| Tensor::from_storage(s, gb));
-                let (gxw, ghu) = route2(g, shape_if(inputs, xw), shape_if(inputs, hu));
-                accumulate(inputs, *xw, gxw);
-                accumulate(inputs, *hu, ghu);
                 accumulate(inputs, *bias, gb);
+                // `g` is now `z`'s gradient, read by both products. `h·U`'s
+                // terms go first: an operand of both products (`W` = `U`)
+                // then sums its two terms in the order of the unfused tape,
+                // whose `h·U` node came later and so was swept first.
+                let (gh, gu) = matmul_grads(inputs, h, u, &g);
+                accumulate(inputs, *h, gh);
+                accumulate(inputs, *u, gu);
+                let (gx, gw) = matmul_grads(inputs, x, w, &g);
+                accumulate(inputs, *x, gx);
+                accumulate(inputs, *w, gw);
             }
             Op::LstmCell { gates, c_prev, hidden } => {
                 let mut gg = Storage::uninit(g.len() * 4);
@@ -938,6 +950,41 @@ fn route2(g: Tensor, a: Option<&[usize]>, b: Option<&[usize]>) -> (Option<Tensor
         (Some(a), None) => (Some(reduce_into(g, a)), None),
         (None, b) => (None, b.map(|b| reduce_into(g, b))),
     }
+}
+
+/// `dA = G·Bᵀ` and `dB = Aᵀ·G` of the product `A·B`, each computed only
+/// when its operand wants it.
+fn matmul_grads(
+    nodes: &[Node],
+    a: &NodeId,
+    b: &NodeId,
+    g: &Tensor,
+) -> (Option<Tensor>, Option<Tensor>) {
+    let (va, vb) = (&nodes[a.0].value, &nodes[b.0].value);
+    let ga = wants(nodes, a).then(|| g.matmul(&vb.transpose2()));
+    let gb = wants(nodes, b).then(|| va.transpose2().matmul(g));
+    (ga, gb)
+}
+
+/// Routes a convolution output's gradient `g` to the input `x` and the
+/// kernel `w`. The first conv of a net reads a data leaf, whose grad-x
+/// nobody reads, so it is not computed. One `tensor.conv_ms` observation
+/// covers both kernels.
+fn conv_grads(
+    nodes: &mut [Node],
+    x: NodeId,
+    w: NodeId,
+    dilation: Dilation,
+    pad: Padding,
+    g: &Tensor,
+) {
+    let timer = crate::tensor::kernel_timer();
+    let (xv, wv) = (&nodes[x.0].value, &nodes[w.0].value);
+    let gx = wants(nodes, &x).then(|| conv2d_grad_x(xv, wv, g, dilation, pad));
+    let gw = wants(nodes, &w).then(|| conv2d_grad_w(xv, wv, g, dilation, pad));
+    crate::tensor::CONV_MS.observe_since(timer);
+    accumulate(nodes, x, gx);
+    accumulate(nodes, w, gw);
 }
 
 #[cfg(test)]
@@ -1049,13 +1096,15 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut g = Graph::new();
         let x = g.param(Tensor::ones(&[1, 1, 10, 100]));
+        let w = g.param(Tensor::ones(&[1, 1, 1, 1])); // identity kernel
         let b = g.param(Tensor::zeros(&[1, 1, 1]));
+        let nopad = (0, 0, 0, 0);
         // Eval mode: relu(x + b) = x, and the rng is not touched.
         let before = rng.clone().gen::<u64>();
-        let y = g.bias_dropout_relu(x, b, 0.5, false, &mut rng);
+        let y = g.conv_bias_dropout_relu(x, w, (1, 1), nopad, b, 0.5, false, &mut rng);
         assert_eq!(g.value(y), g.value(x));
         assert_eq!(rng.clone().gen::<u64>(), before);
-        let z = g.bias_dropout_relu(x, b, 0.5, true, &mut rng);
+        let z = g.conv_bias_dropout_relu(x, w, (1, 1), nopad, b, 0.5, true, &mut rng);
         let m = g.value(z).mean();
         assert!((m - 1.0).abs() < 0.1, "inverted dropout keeps the mean, got {m}");
         assert!(g.value(z).data().iter().all(|&v| v == 0.0 || v == 2.0));

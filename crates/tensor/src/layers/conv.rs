@@ -83,7 +83,7 @@ impl Conv2dLayer {
     }
 
     /// Convolution, then bias, inverted dropout at rate `p` (training only)
-    /// and ReLU as one fused node ([`Graph::bias_dropout_relu`]).
+    /// and ReLU as one fused node ([`Graph::conv_bias_dropout_relu`]).
     pub fn forward_dropout_relu<R: Rng>(
         &self,
         g: &mut Graph,
@@ -93,8 +93,8 @@ impl Conv2dLayer {
         training: bool,
         rng: &mut R,
     ) -> NodeId {
-        let y = g.conv2d(x, bind.node(self.w), self.dilation, self.padding());
-        g.bias_dropout_relu(y, bind.node(self.b), p, training, rng)
+        let (w, b) = (bind.node(self.w), bind.node(self.b));
+        g.conv_bias_dropout_relu(x, w, self.dilation, self.padding(), b, p, training, rng)
     }
 }
 

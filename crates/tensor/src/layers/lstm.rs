@@ -47,7 +47,7 @@ impl Lstm {
 
     /// Runs the recurrence from a zero state over `xs` (one `(B, in)` node
     /// per timestep) and returns the final hidden state `(B, H)`. Each step
-    /// is two matmuls and one fused [`Graph::lstm_step`].
+    /// is one fused [`Graph::lstm_step`], matmuls included.
     ///
     /// # Panics
     /// Panics if `xs` is empty.
@@ -58,9 +58,7 @@ impl Lstm {
         let mut h = g.leaf(Tensor::zeros(&[batch, self.hidden]));
         let mut c = g.leaf(Tensor::zeros(&[batch, self.hidden]));
         for &x in xs {
-            let xw = g.matmul(x, wn);
-            let hu = g.matmul(h, un);
-            (h, c) = g.lstm_step(xw, hu, bn, c);
+            (h, c) = g.lstm_step(x, wn, h, un, bn, c);
         }
         h
     }

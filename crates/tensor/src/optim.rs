@@ -171,8 +171,13 @@ pub struct Adam {
     /// Numerical floor.
     pub eps: f64,
     t: u64,
-    m: Vec<Option<Tensor>>,
-    v: Vec<Option<Tensor>>,
+    /// First and second moments per parameter, empty until its first
+    /// gradient. Plain vectors, not arena-backed tensors: they live as long
+    /// as the optimiser, and taking them from the storage arena on the
+    /// first step would keep buffers the tape recycles, so the next step
+    /// would miss them.
+    m: Vec<Vec<f64>>,
+    v: Vec<Vec<f64>>,
 }
 
 impl Adam {
@@ -185,29 +190,52 @@ impl Adam {
 impl Optimizer for Adam {
     fn step(&mut self, store: &mut ParamStore, grads: &[Option<Tensor>]) {
         self.t += 1;
-        self.m.resize(grads.len(), None);
-        self.v.resize(grads.len(), None);
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        for (i, id) in store.ids().enumerate().collect::<Vec<_>>() {
-            let Some(g) = &grads[i] else { continue };
-            let m = match &self.m[i] {
-                Some(m) => m.scale(self.beta1).add(&g.scale(1.0 - self.beta1)),
-                None => g.scale(1.0 - self.beta1),
-            };
-            let v = match &self.v[i] {
-                Some(v) => v.scale(self.beta2).add(&g.mul(g).scale(1.0 - self.beta2)),
-                None => g.mul(g).scale(1.0 - self.beta2),
-            };
-            self.m[i] = Some(m.clone());
-            self.v[i] = Some(v.clone());
-            let mhat = m.scale(1.0 / bc1);
-            let vhat = v.scale(1.0 / bc2);
-            let eps = self.eps;
-            let update = mhat.zip(&vhat, |mh, vh| mh / (vh.sqrt() + eps));
-            let w = store.value_mut(id);
-            *w = w.sub(&update.scale(self.lr));
+        self.m.resize_with(grads.len(), Vec::new);
+        self.v.resize_with(grads.len(), Vec::new);
+        let c = AdamStep {
+            beta1: self.beta1,
+            beta2: self.beta2,
+            inv_bc1: 1.0 / (1.0 - self.beta1.powi(self.t as i32)),
+            inv_bc2: 1.0 / (1.0 - self.beta2.powi(self.t as i32)),
+            eps: self.eps,
+            lr: self.lr,
+        };
+        let state = self.m.iter_mut().zip(self.v.iter_mut());
+        for ((p, g), (m, v)) in store.params.iter_mut().zip(grads).zip(state) {
+            let Some(g) = g else { continue };
+            let first = m.is_empty();
+            if first {
+                m.resize(g.len(), 0.0);
+                v.resize(g.len(), 0.0);
+            }
+            adam_update(p.value.data_mut(), g.data(), m, v, first, &c);
         }
+    }
+}
+
+/// The per-step constants of one Adam update.
+struct AdamStep {
+    beta1: f64,
+    beta2: f64,
+    /// `1 / (1 − βᵗ)`, the bias corrections.
+    inv_bc1: f64,
+    inv_bc2: f64,
+    eps: f64,
+    lr: f64,
+}
+
+/// Updates one parameter's moments `m`, `v` and weights `w` in place:
+/// `m ← (m·β1) + (g·(1−β1))`, `v ← (v·β2) + ((g·g)·(1−β2))`, then
+/// `w ← w − ((m·bc1⁻¹) / (√(v·bc2⁻¹) + ε))·lr`. On the `first` step the
+/// moments are `g·(1−β1)` and `(g·g)·(1−β2)` alone, with no `0·β` term
+/// that would turn a `−0` into `+0`.
+fn adam_update(w: &mut [f64], g: &[f64], m: &mut [f64], v: &mut [f64], first: bool, c: &AdamStep) {
+    let state = m.iter_mut().zip(v.iter_mut());
+    for ((w, &g), (m, v)) in w.iter_mut().zip(g).zip(state) {
+        let (gm, gv) = (g * (1.0 - c.beta1), (g * g) * (1.0 - c.beta2));
+        (*m, *v) = if first { (gm, gv) } else { (*m * c.beta1 + gm, *v * c.beta2 + gv) };
+        let update = (*m * c.inv_bc1) / ((*v * c.inv_bc2).sqrt() + c.eps);
+        *w -= update * c.lr;
     }
 }
 
@@ -263,6 +291,79 @@ mod tests {
         a.soft_update_from(&b, 0.1);
         assert!((a.value(ParamId(0)).item() - 1.0).abs() < 1e-12);
         let _ = wb;
+    }
+
+    /// The tensor-by-tensor Adam step the in-place loop replaced.
+    fn reference_adam_step(
+        w: &mut Tensor,
+        m: &mut Option<Tensor>,
+        v: &mut Option<Tensor>,
+        g: &Tensor,
+        t: u64,
+    ) {
+        let (b1, b2, eps, lr) = (0.9, 0.999, 1e-8, 0.05);
+        let bc1 = 1.0 - f64::powi(b1, t as i32);
+        let bc2 = 1.0 - f64::powi(b2, t as i32);
+        let mn = match m {
+            Some(m) => m.scale(b1).add(&g.scale(1.0 - b1)),
+            None => g.scale(1.0 - b1),
+        };
+        let vn = match v {
+            Some(v) => v.scale(b2).add(&g.mul(g).scale(1.0 - b2)),
+            None => g.mul(g).scale(1.0 - b2),
+        };
+        let update = mn.scale(1.0 / bc1).zip(&vn.scale(1.0 / bc2), |mh, vh| mh / (vh.sqrt() + eps));
+        *w = w.sub(&update.scale(lr));
+        (*m, *v) = (Some(mn), Some(vn));
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn adam_in_place_matches_the_tensor_formula_bit_for_bit() {
+        // Weights and gradients with exact and signed zeros; the second
+        // parameter skips step 2 (no gradient), so its moments carry over.
+        let w0 = [0.0, -0.0, 1.5, -2.25, 1e-12, 0.0];
+        let steps: [[f64; 6]; 4] = [
+            [-0.0, 0.0, -0.0, 0.5, -1e-9, 3.0],
+            [0.0, -0.0, 0.25, -0.0, 2.0, -0.0],
+            [-0.0, -0.0, 0.0, -0.75, 0.0, 1e-300],
+            [1.0, 0.0, -0.0, -0.0, -4.0, 0.0],
+        ];
+        let mut store = ParamStore::new();
+        let a = store.add("a", Tensor::from_vec(&[6], w0.to_vec()));
+        let b = store.add("b", Tensor::from_vec(&[2, 3], w0.to_vec()));
+        let mut opt = Adam::new(0.05);
+        let mut want = [(store.value(a).clone(), None, None), (store.value(b).clone(), None, None)];
+        for (step, g) in steps.iter().enumerate() {
+            let ga = Tensor::from_vec(&[6], g.to_vec());
+            let gb = (step != 1).then(|| Tensor::from_vec(&[2, 3], g.iter().map(|v| -v).collect()));
+            opt.step(&mut store, &[Some(ga.clone()), gb.clone()]);
+            let t = step as u64 + 1;
+            let (w, m, v) = &mut want[0];
+            reference_adam_step(w, m, v, &ga, t);
+            if let Some(gb) = &gb {
+                let (w, m, v) = &mut want[1];
+                reference_adam_step(w, m, v, gb, t);
+            }
+            if step == 0 {
+                // The first step's −0 gradient leaves a −0 first moment.
+                assert_eq!(opt.m[0][0].to_bits(), (-0.0f64).to_bits());
+            }
+            for (i, id) in [a, b].into_iter().enumerate() {
+                let (w, m, v) = &want[i];
+                let state = |s: &Option<Tensor>| s.as_ref().map_or(vec![], |t| bits(t.data()));
+                assert_eq!(
+                    bits(store.value(id).data()),
+                    bits(w.data()),
+                    "step {step} param {i}: w"
+                );
+                assert_eq!(bits(&opt.m[i]), state(m), "step {step} param {i}: m");
+                assert_eq!(bits(&opt.v[i]), state(v), "step {step} param {i}: v");
+            }
+        }
     }
 
     #[test]

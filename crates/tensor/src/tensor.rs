@@ -31,6 +31,7 @@ fn broadcast_strides_into(src: &[usize], out: &[usize], dst: &mut [usize]) {
 use rand::Rng;
 use serde::{Deserialize, Error, Ser, Serialize, Value};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A dense, row-major, `f64` n-dimensional array.
 #[derive(Clone, PartialEq)]
@@ -310,7 +311,7 @@ impl Tensor {
         let timer = kernel_timer();
         let mut out = Storage::zeroed(n * m);
         matmul_rows(&self.data, &other.data, &mut out, k, m);
-        observe_kernel_ms("tensor.matmul_ms", timer);
+        MATMUL_MS.observe_since(timer);
         Tensor { shape: vec![n, m], data: out }
     }
 
@@ -453,12 +454,37 @@ pub(crate) fn kernel_timer() -> Option<std::time::Instant> {
     ppn_obs::metrics_enabled().then(ppn_obs::clock::now)
 }
 
-/// Records a kernel duration (in ms) into the named `ppn_obs` histogram.
-pub(crate) fn observe_kernel_ms(name: &str, timer: Option<std::time::Instant>) {
-    if let Some(t0) = timer {
-        ppn_obs::histogram(name, &KERNEL_MS_BUCKETS).observe(t0.elapsed().as_secs_f64() * 1e3);
+/// A per-kernel duration histogram (ms) in the `ppn_obs` registry. The
+/// handle is looked up once and cached, so a kernel call does not take the
+/// registry's lock, allocate the name or hash it.
+pub(crate) struct KernelHistogram {
+    name: &'static str,
+    handle: OnceLock<ppn_obs::metrics::Histogram>,
+}
+
+impl KernelHistogram {
+    const fn new(name: &'static str) -> Self {
+        KernelHistogram { name, handle: OnceLock::new() }
+    }
+
+    /// Records the time since `timer` started (nothing when it is `None`).
+    pub(crate) fn observe_since(&self, timer: Option<std::time::Instant>) {
+        if let Some(t0) = timer {
+            let h = self.handle.get_or_init(|| ppn_obs::histogram(self.name, &KERNEL_MS_BUCKETS));
+            h.observe(t0.elapsed().as_secs_f64() * 1e3);
+        }
     }
 }
+
+/// Every [`Tensor::matmul`].
+pub(crate) static MATMUL_MS: KernelHistogram = KernelHistogram::new("tensor.matmul_ms");
+/// Every conv node: its forward, or its backward's grad-x and grad-w
+/// together.
+pub(crate) static CONV_MS: KernelHistogram = KernelHistogram::new("tensor.conv_ms");
+/// The three conv kernels, one observation per call.
+pub(crate) static CONV_FWD_MS: KernelHistogram = KernelHistogram::new("tensor.conv_fwd_ms");
+pub(crate) static CONV_GRAD_X_MS: KernelHistogram = KernelHistogram::new("tensor.conv_grad_x_ms");
+pub(crate) static CONV_GRAD_W_MS: KernelHistogram = KernelHistogram::new("tensor.conv_grad_w_ms");
 
 /// Computes `a (n,k) × b (k,m)` into the zeroed `out` (`n × m`,
 /// row-major), i-k-j order with two levels of blocking:

@@ -228,14 +228,17 @@ fn conv2d_same_over_assets_grad() {
 
 #[test]
 fn bias_dropout_relu_grad() {
-    // Eval (no mask) and training at p = 0.2; each evaluation reseeds the
-    // rng, so every finite difference sees the same mask.
-    for training in [false, true] {
-        let mut s = store_with(&[&[2, 3, 2, 5], &[3, 1, 1]], 17);
-        let (x, b) = (pid(&s, 0), pid(&s, 1));
+    // The fused conv node: input, kernel and bias. Eval (no mask), p = 0
+    // and training at p = 0.2; each evaluation reseeds the rng, so every
+    // finite difference sees the same mask.
+    for (p, training) in [(0.2, false), (0.0, true), (0.2, true)] {
+        let mut s = store_with(&[&[2, 3, 2, 5], &[4, 3, 1, 2], &[4, 1, 1]], 17);
+        let (x, w, b) = (pid(&s, 0), pid(&s, 1), pid(&s, 2));
         check(&mut s, |g, bind| {
             let mut rng = StdRng::seed_from_u64(18);
-            let y = g.bias_dropout_relu(bind.node(x), bind.node(b), 0.2, training, &mut rng);
+            let (xn, wn, bn) = (bind.node(x), bind.node(w), bind.node(b));
+            let y =
+                g.conv_bias_dropout_relu(xn, wn, (1, 2), (0, 0, 2, 0), bn, p, training, &mut rng);
             let sq = g.square(y);
             g.sum(sq)
         });
@@ -244,13 +247,14 @@ fn bias_dropout_relu_grad() {
 
 #[test]
 fn lstm_step_grad() {
-    // Two chained steps, so the cell gradient also flows into `c_prev`.
-    let mut s = store_with(&[&[3, 8], &[3, 8], &[8], &[3, 2], &[2, 8]], 19);
-    let (xw, hu, b, c0, u) = (pid(&s, 0), pid(&s, 1), pid(&s, 2), pid(&s, 3), pid(&s, 4));
+    // Two chained steps, so the gradient also flows through `h` and `c`
+    // into the first step and its input `x` (the cascade path).
+    let mut s = store_with(&[&[3, 2], &[2, 8], &[3, 2], &[2, 8], &[8], &[3, 2]], 19);
+    let ids: Vec<_> = (0..6).map(|i| pid(&s, i)).collect();
     check(&mut s, |g, bind| {
-        let (h, c) = g.lstm_step(bind.node(xw), bind.node(hu), bind.node(b), bind.node(c0));
-        let hu2 = g.matmul(h, bind.node(u));
-        let (h2, c2) = g.lstm_step(bind.node(xw), hu2, bind.node(b), c);
+        let [x, w, h0, u, b, c0] = [0, 1, 2, 3, 4, 5].map(|i| bind.node(ids[i]));
+        let (h, c) = g.lstm_step(x, w, h0, u, b, c0);
+        let (h2, c2) = g.lstm_step(x, w, h, u, b, c);
         let sh = g.square(h2);
         let sc = g.square(c2);
         let t = g.add(sh, sc);
