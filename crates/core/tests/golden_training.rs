@@ -6,9 +6,16 @@
 //! steps of the paper-sized PPN. A change to the tape, the kernels or the
 //! optimiser that moves any bit of training fails here; a deliberate change
 //! of the numbers must regenerate the table (the failure message prints it).
+//!
+//! The kernels take AVX2 whenever the CPU has it, so on an AVX2 host the
+//! plain runs pin the vector kernels, and
+//! `scalar_kernels_train_to_the_same_pinned_bits` reruns two pins under
+//! `force_scalar` against the same table. That comparison is only real on
+//! an AVX2 host; elsewhere both sides are scalar.
 
 use ppn_core::prelude::*;
 use ppn_market::{Dataset, Preset};
+use ppn_tensor::simd::force_scalar;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -181,4 +188,15 @@ fn paper_ppn_trains_to_its_pinned_bits() {
     let ds = Dataset::load(Preset::CryptoA);
     let got = run(&ds, Variant::Ppn, NetConfig::paper(ds.assets()), 2, 4);
     check(&got, &PAPER_PPN);
+}
+
+#[test]
+fn scalar_kernels_train_to_the_same_pinned_bits() {
+    let ds = Dataset::load(Preset::CryptoA);
+    let (paper, small) = force_scalar(|| {
+        let paper = run(&ds, Variant::Ppn, NetConfig::paper(ds.assets()), 2, 4);
+        (paper, run(&ds, Variant::Ppn, small_cfg(ds.assets()), 4, 4))
+    });
+    check(&paper, &PAPER_PPN);
+    check(&small, &SMALL[0]);
 }

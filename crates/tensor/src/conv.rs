@@ -210,8 +210,8 @@ impl ConvDims {
 /// Runs on the calling thread. Each output element accumulates its taps in
 /// `ic, ky, kx` order from zero, skipping taps whose weight is exactly
 /// zero. The kernel advances four output channels of one sample together;
-/// every element keeps that order, so results are bit-identical with or
-/// without the `simd` feature.
+/// every element keeps that order, so the AVX2 and scalar AXPY paths give
+/// bit-identical results.
 ///
 /// # Panics
 /// Panics on rank/channel mismatches or when the kernel does not fit.

@@ -27,9 +27,9 @@
 //!   clients) side by side; the kernels themselves run on the calling
 //!   thread,
 //! * a boxed-buffer backing store with a thread-local buffer-reuse arena
-//!   ([`storage`]) and register-blocked AXPY kernels ([`simd`], optional
-//!   AVX2 behind the `simd` cargo feature, used whenever the CPU has it) —
-//!   all bit-identical to the naive scalar loops.
+//!   ([`storage`]) and register-blocked AXPY kernels ([`simd`], AVX2
+//!   dispatched at run time on x86-64 whenever the CPU has it) — all
+//!   bit-identical to the naive scalar loops.
 //!
 //! ## Quickstart
 //!

@@ -2,18 +2,20 @@
 //!
 //! The scalar paths here are the reference semantics: every kernel output
 //! element accumulates its terms in ascending-`k` order with separate
-//! multiply and add. The optional AVX2 paths (behind the `simd` cargo
-//! feature) perform the *same* operations per lane — `_mm256_mul_pd`
-//! followed by `_mm256_add_pd`, never a fused multiply-add — so each output
-//! element sees the identical sequence of IEEE-754 roundings and the result
-//! is bit-identical to the scalar path. No alignment beyond `f64`'s own is
-//! guaranteed for the buffers (glibc's `malloc` gives 16 bytes on x86-64), so
-//! every load and store is the unaligned form (`_mm256_loadu_pd`,
-//! `_mm256_storeu_pd`); a 4-wide access may straddle a cache line.
+//! multiply and add. The AVX2 paths (x86-64 builds) perform the *same*
+//! operations per lane — `_mm256_mul_pd` followed by `_mm256_add_pd`, never
+//! a fused multiply-add — so each output element sees the identical
+//! sequence of IEEE-754 roundings and the result is bit-identical to the
+//! scalar path. No alignment beyond `f64`'s own is guaranteed for the
+//! buffers (glibc's `malloc` gives 16 bytes on x86-64), so every load and
+//! store is the unaligned form (`_mm256_loadu_pd`, `_mm256_storeu_pd`); a
+//! 4-wide access may straddle a cache line. A scalar head peeled up to a
+//! 32-byte boundary measured no faster on training, so none is taken.
 //!
-//! The intrinsics engage exactly when the `simd` feature is compiled in and
-//! the CPU reports AVX2 (detected once). [`force_scalar`] scopes the scalar
-//! path for bit-identity tests.
+//! Every x86-64 build compiles the intrinsics in; they engage exactly when the
+//! CPU reports AVX2 (detected once, at run time). Other targets always take
+//! the scalar loops. [`force_scalar`] scopes the scalar path for bit-identity
+//! tests.
 
 #![allow(unsafe_code)] // audited: runtime-detection-gated intrinsic calls only, see no-unsafe rule
 
@@ -44,17 +46,23 @@ pub fn enabled() -> bool {
     simd_available() && FORCE_SCALAR.with(Cell::get) == 0
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 fn simd_available() -> bool {
     use std::sync::OnceLock;
     static AVAILABLE: OnceLock<bool> = OnceLock::new();
     *AVAILABLE.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
 }
 
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+#[cfg(not(target_arch = "x86_64"))]
 fn simd_available() -> bool {
     false
 }
+
+/// Shortest run the AVX2 paths take. A `#[target_feature]` function cannot
+/// be inlined into its (non-AVX2) caller, so a shorter run is cheaper in the
+/// inlined scalar loop than behind an out-of-line call.
+#[cfg(target_arch = "x86_64")]
+const AVX2_MIN_LEN: usize = 8;
 
 /// A hoisted dispatch decision. [`enabled`] reads a thread-local and a
 /// `OnceLock` — cheap once, but measurable when an inner loop issues many
@@ -64,7 +72,7 @@ fn simd_available() -> bool {
 /// captured bool instead, which the compiler keeps in a register.
 #[derive(Clone, Copy)]
 pub struct Dispatch {
-    #[cfg_attr(not(all(feature = "simd", target_arch = "x86_64")), allow(dead_code))]
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
     use_avx2: bool,
 }
 
@@ -78,8 +86,8 @@ impl Dispatch {
     /// `o[j] += a * x[j]` over the common length of `o` and `x`.
     #[inline]
     pub fn axpy(self, o: &mut [f64], x: &[f64], a: f64) {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if self.use_avx2 {
+        #[cfg(target_arch = "x86_64")]
+        if self.use_avx2 && o.len().min(x.len()) >= AVX2_MIN_LEN {
             // SAFETY: use_avx2 implies AVX2 was detected at runtime.
             unsafe { avx2::axpy(o, x, a) };
             return;
@@ -94,16 +102,16 @@ impl Dispatch {
     /// which is what makes the 4-row-blocked matmul register-friendly.
     #[inline]
     pub fn axpy4(self, o: [&mut [f64]; 4], b: &[f64], a: [f64; 4]) {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        if self.use_avx2 {
-            // SAFETY: use_avx2 implies AVX2 was detected at runtime.
-            unsafe { avx2::axpy4(o, b, a) };
-            return;
-        }
         let [o0, o1, o2, o3] = o;
         let n = b.len().min(o0.len()).min(o1.len()).min(o2.len()).min(o3.len());
         // Explicit reslicing lets the compiler elide per-index bounds checks.
         let (b, o0, o1, o2, o3) = (&b[..n], &mut o0[..n], &mut o1[..n], &mut o2[..n], &mut o3[..n]);
+        #[cfg(target_arch = "x86_64")]
+        if self.use_avx2 && n >= AVX2_MIN_LEN {
+            // SAFETY: use_avx2 implies AVX2 was detected at runtime.
+            unsafe { avx2::axpy4([o0, o1, o2, o3], b, a) };
+            return;
+        }
         for j in 0..n {
             let bv = b[j];
             o0[j] += a[0] * bv;
@@ -128,7 +136,7 @@ pub fn axpy4(o: [&mut [f64]; 4], b: &[f64], a: [f64; 4]) {
     Dispatch::capture().axpy4(o, b, a);
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod avx2 {
     use core::arch::x86_64::{
         _mm256_add_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_storeu_pd,
@@ -241,6 +249,12 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn default_build_dispatches_on_cpu_support() {
+        assert_eq!(enabled(), std::arch::is_x86_feature_detected!("avx2"));
     }
 
     #[test]

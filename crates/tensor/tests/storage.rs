@@ -1,9 +1,10 @@
 //! Integration tests for the storage layer, the buffer-reuse arena, and the
 //! scalar/vector kernel bit-identity guarantee.
 //!
-//! These run with and without the `simd` cargo feature (CI exercises both);
-//! without it the vector paths are compiled out and the comparisons are
-//! trivially identical.
+//! The kernels take their AVX2 paths whenever the CPU has AVX2, and
+//! `simd::force_scalar` gives the scalar reference in the same process. So
+//! the scalar/vector comparisons are real on an AVX2 host; elsewhere both
+//! sides are scalar and they are trivially identical.
 
 use ppn_tensor::gradcheck::gradcheck;
 use ppn_tensor::{conv, simd, storage, Graph, ParamStore, Tensor};
