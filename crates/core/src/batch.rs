@@ -38,8 +38,8 @@ impl WindowBatch {
     /// # Panics
     /// Panics on inconsistent lengths.
     pub fn new(
-        windows: &[Vec<f64>],
-        prev_actions: &[Vec<f64>],
+        windows: &[impl AsRef<[f64]>],
+        prev_actions: &[impl AsRef<[f64]>],
         m: usize,
         k: usize,
         d: usize,
@@ -48,10 +48,10 @@ impl WindowBatch {
         assert!(b > 0, "empty batch");
         assert_eq!(prev_actions.len(), b);
         for w in windows {
-            assert_eq!(w.len(), m * k * d, "window buffer has wrong size");
+            assert_eq!(w.as_ref().len(), m * k * d, "window buffer has wrong size");
         }
         for a in prev_actions {
-            assert_eq!(a.len(), m + 1, "prev action must include cash");
+            assert_eq!(a.as_ref().len(), m + 1, "prev action must include cash");
         }
 
         // Per-timestep (B*m, d) matrices.
@@ -59,6 +59,7 @@ impl WindowBatch {
         for t in 0..k {
             let mut buf = Vec::with_capacity(b * m * d);
             for w in windows {
+                let w = w.as_ref();
                 for i in 0..m {
                     let base = i * k * d + t * d;
                     buf.extend_from_slice(&w[base..base + d]);
@@ -70,6 +71,7 @@ impl WindowBatch {
         // NCHW (B, d, m, k).
         let mut conv = Vec::with_capacity(b * d * m * k);
         for w in windows {
+            let w = w.as_ref();
             for c in 0..d {
                 for i in 0..m {
                     for t in 0..k {
@@ -83,7 +85,7 @@ impl WindowBatch {
         // (B, 1, m, 1) risky previous weights.
         let mut prev = Vec::with_capacity(b * m);
         for a in prev_actions {
-            prev.extend_from_slice(&a[1..]);
+            prev.extend_from_slice(&a.as_ref()[1..]);
         }
         let prev_risky = Tensor::from_vec(&[b, 1, m, 1], prev);
 

@@ -213,8 +213,8 @@ impl<'a> DdpgTrainer<'a> {
         let m1 = self.dataset.assets() + 1;
 
         // ----- Targets: y = r + γ Q'(s', μ'(s')) — no gradients needed.
-        let next_windows: Vec<Vec<f64>> = refs.iter().map(|t| t.next_window.clone()).collect();
-        let next_prevs: Vec<Vec<f64>> = refs.iter().map(|t| t.action.clone()).collect();
+        let next_windows: Vec<&[f64]> = refs.iter().map(|t| t.next_window.as_slice()).collect();
+        let next_prevs: Vec<&[f64]> = refs.iter().map(|t| t.action.as_slice()).collect();
         let next_batch = WindowBatch::new(
             &next_windows,
             &next_prevs,

@@ -27,7 +27,7 @@ impl Policy for NetPolicy {
     fn decide_batch(&mut self, ctxs: &[DecisionContext<'_>]) -> Vec<Weights> {
         let windows: Vec<Vec<f64>> =
             ctxs.iter().map(|ctx| ctx.dataset.window(ctx.t, self.net.cfg.window)).collect();
-        let prevs: Vec<Vec<f64>> = ctxs.iter().map(|ctx| ctx.prev_action.to_vec()).collect();
+        let prevs: Vec<&[f64]> = ctxs.iter().map(|ctx| ctx.prev_action).collect();
         let mut actions = self.net.act_batch(&windows, &prevs);
         for a in &mut actions {
             // Guard against tiny softmax round-off drifting off the simplex.

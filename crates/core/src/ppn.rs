@@ -280,7 +280,7 @@ impl PolicyNet {
     /// returns the `m+1` portfolio for one window. The simplex contract is
     /// enforced inside [`PolicyNet::act_batch`], which this delegates to.
     pub fn act(&self, window: &[f64], prev_action: &[f64]) -> Vec<f64> {
-        let mut out = self.act_batch(&[window.to_vec()], &[prev_action.to_vec()]);
+        let mut out = self.act_batch(&[window], &[prev_action]);
         debug_assert_eq!(out.len(), 1);
         out.pop().unwrap_or_default()
     }
@@ -294,7 +294,11 @@ impl PolicyNet {
     /// `(window, prev_action)` pair — the property the `ppn-serve`
     /// micro-batcher relies on.
     // ppn-check: contract(simplex)
-    pub fn act_batch(&self, windows: &[Vec<f64>], prev_actions: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    pub fn act_batch(
+        &self,
+        windows: &[impl AsRef<[f64]>],
+        prev_actions: &[impl AsRef<[f64]>],
+    ) -> Vec<Vec<f64>> {
         assert_eq!(windows.len(), prev_actions.len(), "act_batch input length mismatch");
         if windows.is_empty() {
             return Vec::new();
@@ -422,7 +426,8 @@ mod tests {
         // Empty input short-circuits without building a WindowBatch.
         let mut rng = StdRng::seed_from_u64(11);
         let net = PolicyNet::new(Variant::PpnLstm, cfg, &mut rng);
-        assert!(net.act_batch(&[], &[]).is_empty());
+        let none: [&[f64]; 0] = [];
+        assert!(net.act_batch(&none, &none).is_empty());
     }
 
     #[test]

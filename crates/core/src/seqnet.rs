@@ -36,10 +36,7 @@ impl SeqNet {
     /// Runs the stream; returns `(B, H, m, 1)`.
     pub fn forward(&self, g: &mut Graph, bind: &Binding, batch: &WindowBatch) -> NodeId {
         let steps: Vec<NodeId> = batch.seq_steps.iter().map(|t| g.leaf(t.clone())).collect();
-        let h = self.lstm.forward(g, bind, &steps); // (B·m, H)
-        let h3 = g.reshape(h, &[batch.batch, batch.m, self.hidden]);
-        let hp = g.permute(h3, &[0, 2, 1]); // (B, H, m)
-        g.reshape(hp, &[batch.batch, self.hidden, batch.m, 1])
+        self.forward_steps(g, bind, &steps, batch.batch, batch.m)
     }
 
     /// Cascade entry point: runs the LSTM over externally-provided timestep
@@ -53,9 +50,9 @@ impl SeqNet {
         batch: usize,
         m: usize,
     ) -> NodeId {
-        let h = self.lstm.forward(g, bind, steps);
+        let h = self.lstm.forward(g, bind, steps); // (B·m, H)
         let h3 = g.reshape(h, &[batch, m, self.hidden]);
-        let hp = g.permute(h3, &[0, 2, 1]);
+        let hp = g.permute(h3, &[0, 2, 1]); // (B, H, m)
         g.reshape(hp, &[batch, self.hidden, m, 1])
     }
 }

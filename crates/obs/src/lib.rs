@@ -48,7 +48,7 @@
 pub mod clock;
 /// Run manifests: provenance capture for experiment binaries.
 pub mod manifest;
-/// Counters, gauges (level/peak), histograms, snapshots, and merge.
+/// Counters, gauges (level/peak), histograms, and snapshots.
 pub mod metrics;
 /// Prometheus text exposition and log-linear auto-bucketing.
 pub mod prom;

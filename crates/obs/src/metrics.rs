@@ -3,18 +3,8 @@
 //!
 //! Handles are cheap `Arc` clones; hot-path operations (`inc`, `observe`)
 //! are single atomic ops and never take the registry lock. Snapshots are
-//! serializable (JSONL-able), deterministically ordered (sorted by metric
-//! name), and mergeable — merge is commutative and associative, so shard
-//! snapshots can be combined in any order:
-//!
-//! * counters add;
-//! * **level** gauges add (the total level across shards — e.g. summed
-//!   queue depth), **peak** gauges take the max;
-//! * histograms with identical bounds add element-wise; histograms with
-//!   mismatched bounds are re-bucketed onto the **intersection** of their
-//!   bound sets (exact, since every original bucket nests inside an
-//!   intersection bucket; disjoint bound sets collapse to a single `+Inf`
-//!   bucket). `sum` and `count` are always preserved exactly.
+//! serializable (JSONL-able) and deterministically ordered (sorted by
+//! metric name).
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -58,11 +48,9 @@ impl Counter {
 /// How a gauge aggregates: a last-written level, or a monotone peak.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GaugeMode {
-    /// `set` overwrites; snapshots report the last-written level and merge
-    /// by **sum** (the combined level across shards).
+    /// `set` overwrites; snapshots report the last-written level.
     Level,
-    /// `set` only raises; snapshots report the high-water mark and merge
-    /// by **max**.
+    /// `set` only raises; snapshots report the high-water mark.
     Peak,
 }
 
@@ -222,7 +210,7 @@ fn gauge_with_mode(name: &str, mode: GaugeMode) -> Gauge {
         match reg.entry(name.to_string()).or_insert_with(|| Handle::Gauge(Gauge::with_mode(mode))) {
             Handle::Gauge(g) if g.mode == mode => g.clone(),
             Handle::Gauge(g) => {
-                // ppn-check: allow(no-panic) level/peak mix-ups on one name corrupt merge semantics; fail fast like a kind mismatch
+                // ppn-check: allow(no-panic) level/peak mix-ups on one name corrupt the gauge's meaning; fail fast like a kind mismatch
                 panic!("gauge `{name}` already registered as {:?}, requested {mode:?}", g.mode)
             }
             // ppn-check: allow(no-panic) registering one name as two metric kinds is a programming error; failing fast beats silently splitting the metric
@@ -231,14 +219,13 @@ fn gauge_with_mode(name: &str, mode: GaugeMode) -> Gauge {
     })
 }
 
-/// Registers (or fetches) the level gauge `name` (last-written value; shard
-/// merges sum).
+/// Registers (or fetches) the level gauge `name` (last-written value).
 pub fn gauge(name: &str) -> Gauge {
     gauge_with_mode(name, GaugeMode::Level)
 }
 
-/// Registers (or fetches) the peak gauge `name` (monotone high-water mark;
-/// shard merges take the max). Conventionally named `*_peak`.
+/// Registers (or fetches) the peak gauge `name` (monotone high-water
+/// mark). Conventionally named `*_peak`.
 pub fn gauge_peak(name: &str) -> Gauge {
     gauge_with_mode(name, GaugeMode::Peak)
 }
@@ -283,7 +270,7 @@ pub struct GaugeSnapshot {
     pub name: String,
     /// Gauge level (or high-water mark when `peak`).
     pub value: f64,
-    /// True for peak-mode gauges (merge by max instead of sum).
+    /// True for peak-mode gauges (a high-water mark, not a level).
     pub peak: bool,
 }
 
@@ -313,87 +300,10 @@ pub struct MetricsSnapshot {
     pub histograms: Vec<HistogramSnapshot>,
 }
 
-/// Re-buckets `counts` (over `bounds` + implicit overflow) onto
-/// `new_bounds`, a subset of `bounds`. Exact: each original bucket nests
-/// inside exactly one target bucket.
-fn rebucket(bounds: &[f64], counts: &[u64], new_bounds: &[f64]) -> Vec<u64> {
-    let mut out = vec![0u64; new_bounds.len() + 1];
-    for (i, &c) in counts.iter().enumerate() {
-        let target = match bounds.get(i) {
-            // First new bound ≥ this bucket's upper bound; none → overflow.
-            Some(b) => new_bounds.partition_point(|nb| nb < b),
-            None => new_bounds.len(),
-        };
-        out[target] += c;
-    }
-    out
-}
-
-/// The sorted intersection of two strictly-increasing bound vectors,
-/// compared bitwise (bounds come from registration constants, so bitwise
-/// equality is the right identity).
-fn bounds_intersection(a: &[f64], b: &[f64]) -> Vec<f64> {
-    let b_bits: Vec<u64> = b.iter().map(|x| x.to_bits()).collect();
-    a.iter().copied().filter(|x| b_bits.contains(&x.to_bits())).collect()
-}
-
 impl MetricsSnapshot {
-    /// Merges another snapshot into this one. Commutative and associative;
-    /// see the module docs for the per-kind rules (counters and level
-    /// gauges add, peak gauges max, histograms re-bucket onto the bound
-    /// intersection when bounds mismatch).
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        for c in &other.counters {
-            match self.counters.iter_mut().find(|m| m.name == c.name) {
-                Some(m) => m.value += c.value,
-                None => self.counters.push(c.clone()),
-            }
-        }
-        for g in &other.gauges {
-            match self.gauges.iter_mut().find(|m| m.name == g.name) {
-                Some(m) => {
-                    // Mixed-mode merges (a level meeting a peak under one
-                    // name) conservatively become a peak.
-                    if m.peak || g.peak {
-                        m.value = m.value.max(g.value);
-                        m.peak = true;
-                    } else {
-                        m.value += g.value;
-                    }
-                }
-                None => self.gauges.push(g.clone()),
-            }
-        }
-        for h in &other.histograms {
-            match self.histograms.iter_mut().find(|m| m.name == h.name) {
-                Some(m) => {
-                    if m.bounds == h.bounds {
-                        for (a, b) in m.counts.iter_mut().zip(&h.counts) {
-                            *a += b;
-                        }
-                    } else {
-                        let merged = bounds_intersection(&m.bounds, &h.bounds);
-                        let mut counts = rebucket(&m.bounds, &m.counts, &merged);
-                        for (a, b) in counts.iter_mut().zip(rebucket(&h.bounds, &h.counts, &merged))
-                        {
-                            *a += b;
-                        }
-                        m.bounds = merged;
-                        m.counts = counts;
-                    }
-                    m.sum += h.sum;
-                    m.count += h.count;
-                }
-                None => self.histograms.push(h.clone()),
-            }
-        }
-        self.sort();
-    }
-
     /// Sorts counters, gauges, and histograms by metric name, making the
-    /// serialized form byte-stable. [`metrics_snapshot`] and
-    /// [`MetricsSnapshot::merge`] call this; hand-built snapshots should
-    /// too before serialization.
+    /// serialized form byte-stable. [`metrics_snapshot`] calls this;
+    /// hand-built snapshots should too before serialization.
     pub fn sort(&mut self) {
         self.counters.sort_by(|a, b| a.name.cmp(&b.name));
         self.gauges.sort_by(|a, b| a.name.cmp(&b.name));

@@ -1,10 +1,7 @@
 //! Registry-level behaviour: histogram bucket edges, span nesting and
-//! self-time accounting, concurrent counters, and (via proptest) the
-//! order-independence of metric-snapshot merges.
+//! self-time accounting, concurrent counters, and gauge modes.
 
-use ppn_obs::metrics::{CounterSnapshot, GaugeSnapshot, HistogramSnapshot};
-use ppn_obs::{MetricsSnapshot, ObsConfig};
-use proptest::prelude::*;
+use ppn_obs::ObsConfig;
 use std::time::Duration;
 
 /// Quiet sinks, but spans + metrics active. First caller wins, so every
@@ -106,166 +103,9 @@ fn gauge_modes_level_overwrites_peak_is_monotone() {
     assert_eq!(peak.get(), 5.0, "peak gauges ignore values below the high-water mark");
     peak.set(9.0);
     assert_eq!(peak.get(), 9.0);
-    // Snapshots carry the mode so merges apply the right rule.
+    // Snapshots carry the mode.
     let snap = ppn_obs::metrics_snapshot();
     let find = |name: &str| snap.gauges.iter().find(|g| g.name == name).expect("gauge in snapshot");
     assert!(!find("reg.level_gauge").peak);
     assert!(find("reg.peak_gauge").peak);
-}
-
-#[test]
-fn merge_sums_level_gauges_and_maxes_peak_gauges() {
-    init();
-    let shard = |level: f64, peak: f64| MetricsSnapshot {
-        counters: Vec::new(),
-        gauges: vec![
-            GaugeSnapshot { name: "q.depth".into(), value: level, peak: false },
-            GaugeSnapshot { name: "q.depth_peak".into(), value: peak, peak: true },
-        ],
-        histograms: Vec::new(),
-    };
-    let mut merged = shard(3.0, 7.0);
-    merged.merge(&shard(4.0, 5.0));
-    let find = |name: &str| merged.gauges.iter().find(|g| g.name == name).expect("merged gauge");
-    assert_eq!(find("q.depth").value, 7.0, "levels sum across shards (total queue depth)");
-    assert_eq!(find("q.depth_peak").value, 7.0, "peaks take the max across shards");
-}
-
-#[test]
-fn merge_rebuckets_mismatched_histogram_bounds_onto_the_intersection() {
-    init();
-    let mk = |bounds: Vec<f64>, counts: Vec<u64>, sum: f64| MetricsSnapshot {
-        counters: Vec::new(),
-        gauges: Vec::new(),
-        histograms: vec![HistogramSnapshot {
-            name: "h".into(),
-            count: counts.iter().sum(),
-            bounds,
-            counts,
-            sum,
-        }],
-    };
-    // Fine bounds {1,2,5} meet coarse bounds {2,10}: intersection {2}.
-    let mut merged = mk(vec![1.0, 2.0, 5.0], vec![1, 2, 3, 4], 20.0);
-    merged.merge(&mk(vec![2.0, 10.0], vec![5, 6, 7], 30.0));
-    let h = &merged.histograms[0];
-    assert_eq!(h.bounds, vec![2.0]);
-    // ≤2 from the fine side: 1+2; ≤2 from the coarse side: 5. Everything
-    // else rolls into +Inf. Totals are preserved exactly.
-    assert_eq!(h.counts, vec![1 + 2 + 5, 3 + 4 + 6 + 7]);
-    assert_eq!(h.count, 10 + 18);
-    assert!((h.sum - 50.0).abs() < 1e-12);
-}
-
-/// Builds a one-metric-per-kind snapshot from a small generated tuple.
-fn snapshot_from(part: (u8, u64)) -> MetricsSnapshot {
-    let (which, v) = part;
-    let name = format!("m{}", which % 3);
-    MetricsSnapshot {
-        counters: vec![CounterSnapshot { name: name.clone(), value: v }],
-        gauges: vec![GaugeSnapshot { name: name.clone(), value: v as f64 / 8.0, peak: false }],
-        histograms: vec![HistogramSnapshot {
-            name,
-            bounds: vec![10.0, 100.0],
-            counts: vec![v % 5, v % 7, v % 3],
-            sum: v as f64,
-            count: v % 5 + v % 7 + v % 3,
-        }],
-    }
-}
-
-/// A histogram over a bitmask-selected subset of the base bounds
-/// `{1, 2, 5, 10}` — so generated snapshots exercise the mismatched-bounds
-/// merge contract (re-bucketing onto the intersection).
-fn masked_hist(mask: u8, v: u64) -> MetricsSnapshot {
-    let base = [1.0, 2.0, 5.0, 10.0];
-    let bounds: Vec<f64> =
-        base.iter().enumerate().filter(|(i, _)| mask & (1 << i) != 0).map(|(_, b)| *b).collect();
-    let counts: Vec<u64> = (0..=bounds.len() as u64).map(|i| (v + i) % 9).collect();
-    MetricsSnapshot {
-        counters: Vec::new(),
-        gauges: Vec::new(),
-        histograms: vec![HistogramSnapshot {
-            name: "mh".into(),
-            count: counts.iter().sum(),
-            sum: v as f64 / 4.0,
-            bounds,
-            counts,
-        }],
-    }
-}
-
-proptest! {
-    #[test]
-    fn mismatched_bounds_merge_is_order_independent_and_preserves_totals(
-        parts in prop::collection::vec((0u8..16, 0u64..1_000), 1..8)
-    ) {
-        init();
-        let snaps: Vec<MetricsSnapshot> = snaps_of(&parts);
-        let mut forward = MetricsSnapshot::default();
-        for s in &snaps {
-            forward.merge(s);
-        }
-        let mut backward = MetricsSnapshot::default();
-        for s in snaps.iter().rev() {
-            backward.merge(s);
-        }
-        prop_assert_eq!(&forward, &backward);
-        // Associativity across an arbitrary grouping.
-        let (head, tail) = snaps.split_at(snaps.len() / 2);
-        let mut left = MetricsSnapshot::default();
-        for s in head {
-            left.merge(s);
-        }
-        let mut grouped = MetricsSnapshot::default();
-        grouped.merge(&left);
-        for s in tail {
-            grouped.merge(s);
-        }
-        prop_assert_eq!(&forward, &grouped);
-        // Re-bucketing is exact: total count and sum survive any merge.
-        let h = &forward.histograms[0];
-        let want_count: u64 = snaps.iter().map(|s| s.histograms[0].count).sum();
-        let want_sum: f64 = snaps.iter().map(|s| s.histograms[0].sum).sum();
-        prop_assert_eq!(h.counts.iter().sum::<u64>(), want_count);
-        prop_assert_eq!(h.count, want_count);
-        prop_assert!((h.sum - want_sum).abs() < 1e-9);
-        // The merged bounds are the intersection of every input's bounds.
-        let inter = parts.iter().fold(0xFu8, |acc, (m, _)| acc & m);
-        prop_assert_eq!(h.bounds.len(), inter.count_ones() as usize);
-    }
-}
-
-fn snaps_of(parts: &[(u8, u64)]) -> Vec<MetricsSnapshot> {
-    parts.iter().map(|&(m, v)| masked_hist(m, v)).collect()
-}
-
-proptest! {
-    #[test]
-    fn merge_is_order_independent(parts in prop::collection::vec((0u8..3, 0u64..1_000), 1..8)) {
-        init();
-        let snaps: Vec<MetricsSnapshot> = parts.iter().map(|&p| snapshot_from(p)).collect();
-        let mut forward = MetricsSnapshot::default();
-        for s in &snaps {
-            forward.merge(s);
-        }
-        let mut backward = MetricsSnapshot::default();
-        for s in snaps.iter().rev() {
-            backward.merge(s);
-        }
-        prop_assert_eq!(&forward, &backward);
-        // Associativity: pairwise-merged prefix then the rest equals the
-        // straight fold.
-        let mut grouped = MetricsSnapshot::default();
-        let (head, tail) = snaps.split_at(snaps.len() / 2);
-        let mut left = MetricsSnapshot::default();
-        for s in head {
-            left.merge(s);
-        }
-        grouped.merge(&left);
-        for s in tail {
-            grouped.merge(s);
-        }
-        prop_assert_eq!(&forward, &grouped);
-    }
 }

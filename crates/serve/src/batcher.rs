@@ -72,8 +72,8 @@ pub fn process_batch(registry: &ModelRegistry, mut jobs: Vec<QueuedRequest>) {
         if valid.is_empty() {
             continue;
         }
-        let windows: Vec<Vec<f64>> = valid.iter().map(|j| j.request.window.clone()).collect();
-        let prevs: Vec<Vec<f64>> = valid.iter().map(|j| j.request.prev_action.clone()).collect();
+        let windows: Vec<&[f64]> = valid.iter().map(|j| j.request.window.as_slice()).collect();
+        let prevs: Vec<&[f64]> = valid.iter().map(|j| j.request.prev_action.as_slice()).collect();
         let batch_size = valid.len();
         batch_hist.observe(batch_size as f64);
         // One interval times the forward pass for both the aggregate

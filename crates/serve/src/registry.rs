@@ -1,7 +1,7 @@
 //! Concurrent versioned model store: the set of named networks a server
 //! instance decides with, each name carrying a monotonically-versioned
-//! history so the streaming updater can hot-swap candidates in and roll
-//! them back without interrupting serving.
+//! history so the streaming updater can hot-swap candidates in, and an
+//! operator can roll back, without interrupting serving.
 //!
 //! ## Swap semantics (no torn models, no blocking decides)
 //!
@@ -289,13 +289,6 @@ impl ModelRegistry {
         let state = models.get(name)?;
         let entry = state.history.iter().find(|e| e.version == version)?;
         Some(PinnedModel { name: name.to_string(), version, net: Arc::clone(&entry.net) })
-    }
-
-    /// The live network registered under `name`, if any (version-blind
-    /// convenience; prefer [`ModelRegistry::resolve`] where the version
-    /// matters).
-    pub fn get(&self, name: &str) -> Option<Arc<PolicyNet>> {
-        self.resolve(name).map(|pin| pin.net)
     }
 
     /// The version currently serving `name`, if any.

@@ -35,7 +35,7 @@ pub struct DivergenceReport {
 ///
 /// Bars without a full price window are skipped; with no comparable bar at
 /// all the report is all-zero with `windows == 0` (a vacuous pass — callers
-/// gate on `max_l1`, and an empty comparison cannot justify a rollback).
+/// gate on `max_l1`, and an empty comparison cannot justify a rejection).
 pub fn shadow_divergence(
     live: &PolicyNet,
     candidate: &PolicyNet,
@@ -54,7 +54,7 @@ pub fn shadow_divergence(
     let m1 = dataset.assets() + 1;
     let uniform = vec![1.0 / m1 as f64; m1];
     let inputs: Vec<Vec<f64>> = (first..t_end).map(|t| dataset.window(t, k)).collect();
-    let prevs = vec![uniform; inputs.len()];
+    let prevs = vec![uniform.as_slice(); inputs.len()];
     let a = live.act_batch(&inputs, &prevs);
     let b = candidate.act_batch(&inputs, &prevs);
     let mut max_l1 = 0.0_f64;

@@ -3,7 +3,7 @@
 
 //! Streaming online-adaptation pipeline: keep a served policy learning on a
 //! live bar feed, and hot-swap refreshed versions into the model registry
-//! with automatic rollback when a candidate diverges.
+//! once each candidate has passed a divergence gate.
 //!
 //! The paper trains offline and freezes the policy for the test split; the
 //! EIIE framework it builds on supports *online* learning, and `ppn-core`'s
@@ -16,26 +16,24 @@
 //!    trainer's sampling horizon always stays strictly below the current
 //!    bar),
 //! 3. every `publish_every` bars snapshots the network and runs it through
-//!    [`promote`]: publish into the shared
+//!    [`promote`]: shadow-compare the candidate against the live version
+//!    over recent bars, and publish it into the shared
 //!    [`ModelRegistry`](ppn_serve::ModelRegistry) (a zero-downtime
 //!    epoch-style pointer swap — in-flight `/decide` batches keep their
-//!    pinned version), then shadow-compare the candidate against the
-//!    previously-live version over recent bars and roll back automatically
-//!    if the action divergence exceeds a threshold.
+//!    pinned version) only if the action divergence stays within a
+//!    threshold.
 //!
 //! Divergence is measured as the maximum L1 distance between the two
 //! versions' portfolio vectors over a shadow window of recent bars (both
 //! actions lie on the simplex, so the distance is in `[0, 2]` — see
 //! [`divergence`]). The threshold guards serving against a corrupted or
 //! destabilised candidate (e.g. a learning-rate blow-up mid-stream) without
-//! requiring human intervention: traffic is on the candidate only for the
-//! duration of the shadow check, and the rolled-back-to version keeps its
-//! number so stamped responses stay attributable.
+//! requiring human intervention: a rejected candidate never serves, takes
+//! no version number and costs no registry swap.
 //!
-//! A candidate with any non-finite parameter never reaches the registry:
-//! [`promote`] refuses it before publication. A non-finite action on the
-//! shadow window counts as divergence over any threshold, so such a
-//! candidate is rolled back.
+//! A candidate with any non-finite parameter is refused without a shadow
+//! check. A non-finite action on the shadow window counts as divergence
+//! over any threshold, so such a candidate is rejected too.
 //!
 //! The knobs live in [`StreamConfig`]; callers set them in code. The online
 //! policy takes one gradient step per bar.
@@ -59,8 +57,8 @@ pub struct StreamConfig {
     pub feed_period: Duration,
     /// Bars between candidate publications.
     pub publish_every: usize,
-    /// Max allowed shadow-window action divergence (L1, in `[0, 2]`) before
-    /// a freshly-published candidate is rolled back.
+    /// Max allowed shadow-window action divergence (L1, in `[0, 2]`) for a
+    /// candidate to be published.
     pub divergence_threshold: f64,
     /// Recent bars the shadow comparison replays through both versions.
     pub shadow_window: usize,
@@ -90,12 +88,13 @@ pub mod metrics {
         ppn_obs::counter("stream.publishes")
     }
 
-    /// Candidates rolled back for exceeding the divergence threshold.
+    /// Candidates rejected before publication: refused for a non-finite
+    /// parameter, or diverged past the threshold.
     pub fn rollbacks() -> ppn_obs::metrics::Counter {
         ppn_obs::counter("stream.rollbacks")
     }
 
-    /// Shadow-window max-L1 divergence per promotion (simplex L1 ∈ [0, 2]).
+    /// Shadow-window max-L1 divergence per shadow check (simplex L1 ∈ [0, 2]).
     pub fn divergence() -> ppn_obs::metrics::Histogram {
         ppn_obs::histogram("stream.divergence", &[0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0])
     }
@@ -121,12 +120,12 @@ pub mod metrics {
 pub enum PromotionOutcome {
     /// First publication under this name — nothing to compare against.
     First,
-    /// The candidate stayed live; shadow divergence was within threshold.
+    /// The candidate passed the shadow comparison and was published.
     Promoted,
-    /// The candidate exceeded the divergence threshold and serving was
-    /// rolled back to the version that was live before the publish.
+    /// A rejection: the candidate diverged past the threshold and was never
+    /// published.
     RolledBack {
-        /// The version serving again after the rollback.
+        /// The version that kept serving.
         restored: ModelVersion,
     },
     /// The candidate had a non-finite parameter and was never published;
@@ -137,22 +136,29 @@ pub enum PromotionOutcome {
 /// Outcome report of one [`promote`] call.
 #[derive(Debug, Clone)]
 pub struct Promotion {
-    /// Version the candidate was published as (live unless rolled back);
-    /// 0 for a [`PromotionOutcome::Refused`] candidate, which gets none.
+    /// Version the candidate was published as; 0 for a rejected candidate
+    /// ([`PromotionOutcome::Refused`] or [`PromotionOutcome::RolledBack`]),
+    /// which gets none.
     pub candidate_version: ModelVersion,
-    /// Whether the candidate survived the shadow comparison.
+    /// Whether the candidate passed the gate.
     pub outcome: PromotionOutcome,
-    /// Shadow-window divergence vs the previously-live version (`None` on
-    /// a first publication or a refusal).
+    /// Shadow-window divergence vs the live version (`None` on a first
+    /// publication or a refusal).
     pub divergence: Option<DivergenceReport>,
-    /// How long the registry pointer swap (the publish call) took.
+    /// How long the registry pointer swap (the publish call) took; zero for
+    /// a rejected candidate.
     pub swap_latency: Duration,
 }
 
 impl Promotion {
-    /// True when the candidate is still the live version.
+    /// True when the candidate was published and is now the live version.
     pub fn is_live(&self) -> bool {
         matches!(self.outcome, PromotionOutcome::First | PromotionOutcome::Promoted)
+    }
+
+    /// The report of a candidate that never reached the registry.
+    fn rejected(outcome: PromotionOutcome, divergence: Option<DivergenceReport>) -> Promotion {
+        Promotion { candidate_version: 0, outcome, divergence, swap_latency: Duration::ZERO }
     }
 }
 
@@ -164,32 +170,47 @@ pub(crate) fn publish_finite(
     name: &str,
     net: ppn_core::ppn::PolicyNet,
 ) -> Option<(ModelVersion, Duration)> {
+    params_finite(name, &net).then(|| publish(registry, name, net))
+}
+
+/// True when every parameter of `net` is finite; otherwise counts the
+/// refusal in `stream.rollbacks` and logs it.
+fn params_finite(name: &str, net: &ppn_core::ppn::PolicyNet) -> bool {
     let store = &net.store;
-    if !store.ids().all(|id| store.value(id).data().iter().all(|v| v.is_finite())) {
+    let finite = store.ids().all(|id| store.value(id).data().iter().all(|v| v.is_finite()));
+    if !finite {
         metrics::rollbacks().inc();
         ppn_obs::obs_warn!("stream: refused a candidate of '{name}' with non-finite parameters");
-        return None;
     }
+    finite
+}
+
+/// Publishes `net` under `name`, returning the assigned version and how
+/// long the swap took.
+fn publish(
+    registry: &ModelRegistry,
+    name: &str,
+    net: ppn_core::ppn::PolicyNet,
+) -> (ModelVersion, Duration) {
     let swap_start = ppn_obs::clock::now();
     let version = registry.publish(name, net);
     let swap_latency = swap_start.elapsed();
     metrics::publishes().inc();
     metrics::swap_ms().observe(swap_latency.as_secs_f64() * 1e3);
-    Some((version, swap_latency))
+    (version, swap_latency)
 }
 
-/// Publishes `candidate` under `name` and guards the swap with a shadow
-/// comparison: replay the `cfg.shadow_window` bars ending at `t_end`
-/// through both the candidate and the previously-live version, and roll
-/// back if the worst-case action divergence exceeds
-/// `cfg.divergence_threshold`. A candidate with a non-finite parameter is
-/// refused before publication, on a first publication too.
+/// Gates `candidate` and publishes it under `name` only if it passes. A
+/// candidate with a non-finite parameter is refused, on a first
+/// publication too. Otherwise the `cfg.shadow_window` bars ending at
+/// `t_end` replay through both the candidate and the live version, and a
+/// worst-case action divergence above `cfg.divergence_threshold` rejects
+/// the candidate. A rejected candidate never enters the registry: the live
+/// version, the history, the swap count and the next version number are
+/// untouched, and the rejection is counted in `stream.rollbacks`.
 ///
-/// Ordering is deliberate — publish first, compare second. The swap is
-/// zero-downtime either way (pointer store), and publishing first means the
-/// shadow check exercises exactly the artifact that is serving, so a
-/// rollback also exercises the same path an operator would use via
-/// `POST /rollback`.
+/// The shadow check runs on the same `PolicyNet` that is then moved into
+/// the registry, so the gate exercises exactly the artifact that serves.
 pub fn promote(
     registry: &ModelRegistry,
     name: &str,
@@ -198,62 +219,36 @@ pub fn promote(
     t_end: usize,
     cfg: &StreamConfig,
 ) -> Promotion {
-    let previous = registry.resolve(name);
-    let Some((candidate_version, swap_latency)) = publish_finite(registry, name, candidate) else {
-        return Promotion {
-            candidate_version: 0,
-            outcome: PromotionOutcome::Refused,
-            divergence: None,
-            swap_latency: Duration::ZERO,
-        };
-    };
-
-    let Some(previous) = previous else {
-        return Promotion {
-            candidate_version,
-            outcome: PromotionOutcome::First,
-            divergence: None,
-            swap_latency,
-        };
-    };
-
-    let shadow_start = ppn_obs::clock::now();
-    let live = registry.resolve_version(name, candidate_version);
-    let report = match live {
+    if !params_finite(name, &candidate) {
+        return Promotion::rejected(PromotionOutcome::Refused, None);
+    }
+    let (outcome, divergence) = match registry.resolve(name) {
+        None => (PromotionOutcome::First, None),
         Some(live) => {
-            shadow_divergence(previous.net(), live.net(), dataset, t_end, cfg.shadow_window)
+            let shadow_start = ppn_obs::clock::now();
+            let report =
+                shadow_divergence(live.net(), &candidate, dataset, t_end, cfg.shadow_window);
+            metrics::shadow_ms().observe(shadow_start.elapsed().as_secs_f64() * 1e3);
+            metrics::divergence().observe(report.max_l1);
+            if report.max_l1 > cfg.divergence_threshold {
+                let restored = live.version();
+                metrics::rollbacks().inc();
+                ppn_obs::obs_warn!(
+                    "stream: rejected a candidate of '{name}' that diverged \
+                     (max L1 {:.4} > {:.4}); v{restored} keeps serving",
+                    report.max_l1,
+                    cfg.divergence_threshold
+                );
+                return Promotion::rejected(
+                    PromotionOutcome::RolledBack { restored },
+                    Some(report),
+                );
+            }
+            (PromotionOutcome::Promoted, Some(report))
         }
-        // Unreachable in practice (we just published), but degrade to an
-        // empty report rather than panic in library code.
-        None => DivergenceReport { max_l1: 0.0, mean_l1: 0.0, windows: 0 },
     };
-    metrics::shadow_ms().observe(shadow_start.elapsed().as_secs_f64() * 1e3);
-    metrics::divergence().observe(report.max_l1);
-
-    if report.max_l1 > cfg.divergence_threshold
-        && registry.rollback(name, previous.version()).is_ok()
-    {
-        metrics::rollbacks().inc();
-        ppn_obs::obs_warn!(
-            "stream: candidate v{candidate_version} of '{name}' diverged \
-             (max L1 {:.4} > {:.4}), rolled back to v{}",
-            report.max_l1,
-            cfg.divergence_threshold,
-            previous.version()
-        );
-        return Promotion {
-            candidate_version,
-            outcome: PromotionOutcome::RolledBack { restored: previous.version() },
-            divergence: Some(report),
-            swap_latency,
-        };
-    }
-    Promotion {
-        candidate_version,
-        outcome: PromotionOutcome::Promoted,
-        divergence: Some(report),
-        swap_latency,
-    }
+    let (candidate_version, swap_latency) = publish(registry, name, candidate);
+    Promotion { candidate_version, outcome, divergence, swap_latency }
 }
 
 #[cfg(test)]
@@ -338,8 +333,25 @@ mod tests {
         assert_eq!(reg.live_version("m"), Some(2));
     }
 
+    /// Asserts that a rejected `promote` left the registry exactly as it
+    /// was: only v1 in the history, no swap, the same live network, and the
+    /// next publication numbered 2.
+    fn assert_never_published(reg: &ModelRegistry, before: &ppn_serve::PinnedModel, p: &Promotion) {
+        assert!(!p.is_live());
+        assert_eq!(p.candidate_version, 0);
+        assert_eq!(p.swap_latency, Duration::ZERO);
+        let status = reg.status();
+        let history: Vec<ModelVersion> = status[0].history.iter().map(|v| v.version).collect();
+        assert_eq!(history, vec![1]);
+        assert_eq!(status[0].swaps, 0);
+        let after = reg.resolve("m").unwrap();
+        assert_eq!(after.version(), 1);
+        assert!(std::sync::Arc::ptr_eq(after.net(), before.net()));
+        assert_eq!(reg.publish("m", small_net(2, before.net().cfg.assets)), 2);
+    }
+
     #[test]
-    fn diverging_candidate_is_rolled_back_to_previous_live() {
+    fn diverging_candidate_is_rejected_before_publication() {
         let ds = Dataset::load(Preset::CryptoA);
         let reg = ModelRegistry::new();
         // Threshold so tight that any differently-initialised net trips it.
@@ -348,14 +360,37 @@ mod tests {
         let before = reg.resolve("m").unwrap();
         let p = promote(&reg, "m", small_net(999, ds.assets()), &ds, ds.split, &cfg);
         assert_eq!(p.outcome, PromotionOutcome::RolledBack { restored: 1 });
-        assert!(!p.is_live());
-        assert!(p.divergence.unwrap().max_l1 > 1e-9);
-        // The exact previous network serves again; the candidate's number is
-        // burned, not reused.
-        let after = reg.resolve("m").unwrap();
-        assert_eq!(after.version(), 1);
-        assert!(std::sync::Arc::ptr_eq(after.net(), before.net()));
-        assert_eq!(reg.publish("m", small_net(2, ds.assets())), 3);
+        assert!(p.divergence.as_ref().unwrap().max_l1 > 1e-9);
+        assert_never_published(&reg, &before, &p);
+    }
+
+    /// In a release build the finite and simplex contracts are compiled
+    /// out, so the gate alone keeps a candidate with finite parameters but
+    /// non-finite actions away from serving.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn non_finite_actions_are_rejected_in_release_builds() {
+        let ds = Dataset::load(Preset::CryptoA);
+        let reg = ModelRegistry::new();
+        reg.publish("m", small_net(1, ds.assets()));
+        let before = reg.resolve("m").unwrap();
+        // Saturated decision weights overflow the votes, and the softmax of
+        // infinite logits is NaN.
+        let mut candidate = small_net(1, ds.assets());
+        for id in candidate.store.ids().collect::<Vec<_>>() {
+            if candidate.store.name(id).starts_with("decision.") {
+                candidate.store.value_mut(id).data_mut().fill(f64::MAX);
+            }
+        }
+        let k = candidate.cfg.window;
+        let prev = vec![1.0 / (ds.assets() + 1) as f64; ds.assets() + 1];
+        let action = candidate.act(&ds.window(ds.split - 1, k), &prev);
+        assert!(action.iter().any(|w| !w.is_finite()), "the candidate must act non-finitely");
+
+        let p = promote(&reg, "m", candidate, &ds, ds.split, &StreamConfig::default());
+        assert_eq!(p.outcome, PromotionOutcome::RolledBack { restored: 1 });
+        assert!(p.divergence.as_ref().unwrap().max_l1.is_infinite());
+        assert_never_published(&reg, &before, &p);
     }
 
     #[test]

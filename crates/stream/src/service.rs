@@ -13,7 +13,7 @@
 //! network snapshot, shadow forward passes) all happen outside the
 //! registry's locks.
 
-use crate::{metrics, promote, publish_finite, PromotionOutcome, StreamConfig};
+use crate::{metrics, promote, publish_finite, StreamConfig};
 use ppn_core::config::{RewardConfig, TrainConfig};
 use ppn_core::online::OnlineNetPolicy;
 use ppn_core::ppn::PolicyNet;
@@ -33,15 +33,15 @@ const STEPS_PER_BAR: usize = 1;
 pub struct StreamStats {
     /// Bars consumed from the live feed.
     pub bars: u64,
-    /// Candidate versions published (including the initial one).
+    /// Versions that entered the registry (including the initial one).
     pub publishes: u64,
-    /// Candidates that survived the shadow comparison.
+    /// Candidates that passed the shadow comparison and were published.
     pub promoted: u64,
-    /// Candidates rolled back for exceeding the divergence threshold, or
-    /// refused before publication for a non-finite parameter.
+    /// Candidates rejected before publication: refused for a non-finite
+    /// parameter, or diverged past the threshold. None of them served.
     pub rolled_back: u64,
-    /// Shadow-window max-L1 divergence of the most recent promotion
-    /// (0 until the second publish).
+    /// Shadow-window max-L1 divergence of the most recent shadow check
+    /// (0 until the first one).
     pub last_divergence: f64,
     /// Version currently serving (0 until the initial publish lands).
     pub live_version: u64,
@@ -206,18 +206,12 @@ impl StreamWorker {
                 if let Some(report) = &promotion.divergence {
                     s.last_divergence = report.max_l1;
                 }
-                match promotion.outcome {
-                    PromotionOutcome::Refused => s.rolled_back += 1,
-                    PromotionOutcome::RolledBack { restored } => {
-                        s.publishes += 1;
-                        s.rolled_back += 1;
-                        s.live_version = restored;
-                    }
-                    PromotionOutcome::First | PromotionOutcome::Promoted => {
-                        s.publishes += 1;
-                        s.promoted += 1;
-                        s.live_version = promotion.candidate_version;
-                    }
+                if promotion.is_live() {
+                    s.publishes += 1;
+                    s.promoted += 1;
+                    s.live_version = promotion.candidate_version;
+                } else {
+                    s.rolled_back += 1;
                 }
             }
 
@@ -254,7 +248,7 @@ mod tests {
         let registry = Arc::new(ModelRegistry::new());
         let cfg = StreamConfig {
             publish_every: 20,
-            divergence_threshold: 2.1, // simplex L1 caps at 2.0: never rolls back
+            divergence_threshold: 2.1, // simplex L1 caps at 2.0: never rejects
             ..StreamConfig::default()
         };
         let svc = StreamService::start(

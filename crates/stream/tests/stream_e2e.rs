@@ -2,8 +2,8 @@
 //! ppn-serve server whose model keeps training on a simulated feed must
 //! hot-swap refreshed versions with zero downtime (every in-flight decide
 //! answers 200 and is bit-identical to the version it was stamped with),
-//! and an injected divergent candidate must be rolled back automatically
-//! with the previous version restored bit-for-bit.
+//! and an injected divergent candidate must be rejected before publication
+//! while the previous version keeps serving bit-for-bit.
 //!
 //! Metrics share one process-global registry, so these tests only assert
 //! monotone facts (counts grew) and never reset it.
@@ -128,7 +128,7 @@ fn live_server_adapts_across_regime_shift_with_zero_downtime_swaps() {
         distinct.len() >= 2,
         "the soak must observe serving before and after a swap, saw versions {distinct:?}"
     );
-    // Versions only ever move forward under this config (no rollbacks).
+    // Versions only ever move forward.
     assert!(versions.windows(2).all(|w| w[0] < w[1]), "out-of-order versions: {versions:?}");
 
     // Bit-identity: every response matches the direct forward pass of the
@@ -145,11 +145,11 @@ fn live_server_adapts_across_regime_shift_with_zero_downtime_swaps() {
 }
 
 /// Injecting a wildly divergent candidate through the promotion gate on a
-/// live server: the gate publishes it, detects the divergence on the shadow
-/// window, and restores the previous version — clients end up decided by
-/// the exact pre-injection network.
+/// live server: the gate detects the divergence on the shadow window before
+/// publication, so the candidate never enters the registry and every client
+/// keeps being decided by the exact pre-injection network.
 #[test]
-fn injected_divergent_candidate_rolls_back_on_a_live_server() {
+fn injected_divergent_candidate_never_serves_on_a_live_server() {
     let ds = regime_shift_dataset(280);
     let net_cfg = small_cfg();
     let good = PolicyNet::new(Variant::PpnLstm, net_cfg.clone(), &mut StdRng::seed_from_u64(1));
@@ -161,35 +161,32 @@ fn injected_divergent_candidate_rolls_back_on_a_live_server() {
 
     let mut client = HttpClient::connect(server.addr()).unwrap();
     let body = decide_body(&net_cfg, "live");
-    let before = client.request("POST", "/decide", &body).unwrap();
-    assert_eq!(before.status, 200, "{}", before.body);
-    assert_eq!(version_header(&before.headers), Some(1));
+    let mut decide = || {
+        let resp = client.request("POST", "/decide", &body).unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        assert_eq!(version_header(&resp.headers), Some(1));
+        let parsed: DecideResponse = serde_json::from_str(&resp.body).unwrap();
+        parsed.weights.iter().map(|w| w.to_bits()).collect::<Vec<u64>>()
+    };
+    let before = decide();
 
     // Threshold so tight any differently-initialised net trips it.
     let cfg = StreamConfig { divergence_threshold: 1e-9, ..StreamConfig::default() };
     let promotion = promote(&registry, "live", evil, &ds, ds.split, &cfg);
-    assert_eq!(promotion.candidate_version, 2);
+    assert_eq!(promotion.candidate_version, 0);
     assert_eq!(promotion.outcome, PromotionOutcome::RolledBack { restored: 1 });
     assert!(promotion.divergence.unwrap().max_l1 > 1e-9);
     assert!(ppn_stream::metrics::rollbacks().get() > rollbacks_before);
 
-    // The live pointer is back on v1 and serving is bit-identical to the
-    // pre-injection decision.
-    assert_eq!(registry.live_version("live"), Some(1));
-    let after = client.request("POST", "/decide", &body).unwrap();
-    assert_eq!(after.status, 200, "{}", after.body);
-    assert_eq!(version_header(&after.headers), Some(1));
-    let b: DecideResponse = serde_json::from_str(&before.body).unwrap();
-    let a: DecideResponse = serde_json::from_str(&after.body).unwrap();
-    let b_bits: Vec<u64> = b.weights.iter().map(|w| w.to_bits()).collect();
-    let a_bits: Vec<u64> = a.weights.iter().map(|w| w.to_bits()).collect();
-    assert_eq!(a_bits, b_bits, "rollback must restore the exact pre-injection network");
+    // v1 never stopped serving, bit for bit.
+    assert_eq!(decide(), before, "the rejected candidate must never decide a request");
 
-    // The burned candidate version stays attributable in the history, and
-    // the admin surface reports the rollback.
-    assert!(registry.resolve_version("live", 2).is_some());
+    // The candidate took no version number and no swap.
     let models = client.request("GET", "/models", "").unwrap();
     assert_eq!(models.status, 200);
     assert!(models.body.contains("\"live_version\":1"), "{}", models.body);
+    assert!(models.body.contains("\"swaps\":0"), "{}", models.body);
+    assert!(!models.body.contains("\"version\":2"), "{}", models.body);
+    assert!(registry.resolve_version("live", 2).is_none());
     server.shutdown();
 }
