@@ -1,11 +1,10 @@
 //! End-to-end telemetry coverage: a tiny train + backtest must populate the
 //! span registry with the instrumented hot paths, feed the metrics
-//! registry, and produce a parseable per-step JSONL trace.
+//! registry, and keep the per-step trace in its report.
 
 use ppn_core::prelude::*;
 use ppn_market::{run_backtest, Dataset, Preset};
 use ppn_obs::ObsConfig;
-use serde_json::Value;
 
 #[test]
 fn spans_metrics_and_step_trace_cover_train_and_backtest() {
@@ -21,18 +20,9 @@ fn spans_metrics_and_step_trace_cover_train_and_backtest() {
     let mut tr = Trainer::new(&ds, Variant::PpnLstm, RewardConfig::default(), cfg);
     let report = tr.train();
 
-    // Satellite: the report retains the full StepStats trace and exports it
-    // as JSONL that parses back.
+    // The report retains the full StepStats trace; its JSONL form is the
+    // sink's `train.step` event (see trainer_trace.rs).
     assert_eq!(report.steps.len(), 2);
-    assert_eq!(report.rewards.len(), 2);
-    let jsonl = report.to_jsonl();
-    for (i, line) in jsonl.lines().enumerate() {
-        let v = Value::parse(line).expect("step row parses");
-        assert!(matches!(v.field("step"), Ok(Value::Num(n)) if *n == i as f64));
-        assert!(matches!(v.field("reward"), Ok(Value::Num(_))));
-        assert!(matches!(v.field("grad_norm"), Ok(Value::Num(_))));
-        assert!(matches!(v.field("mean_turnover"), Ok(Value::Num(_))));
-    }
 
     let mut policy = NetPolicy::new(tr.into_net());
     let r = run_backtest(&ds, &mut policy, 0.0025, 100..140);

@@ -1,6 +1,7 @@
 //! Trace shape of one training step: with sampling on, `Trainer::step`
 //! emits a `train.step` root whose four stage spans link to it, and the
 //! same guards fill the aggregate span report under matching paths.
+//! `Trainer::train` writes each step's `StepStats` as a `train.step` event.
 
 use ppn_core::prelude::*;
 use ppn_market::{Dataset, Preset};
@@ -25,12 +26,32 @@ fn sampled_step_emits_root_and_four_stage_children() {
     let mut tr = Trainer::new(&ds, Variant::PpnLstm, RewardConfig::default(), cfg);
     ppn_obs::span::reset_spans();
     ppn_obs::trace::set_sample_rate(1);
-    tr.step();
+    let report = tr.train();
     ppn_obs::trace::set_sample_rate(0);
     ppn_obs::sink::jsonl_flush();
 
     let text = std::fs::read_to_string(&path).expect("trace jsonl written");
     let _ = std::fs::remove_file(&path);
+
+    // The per-step row: the sink's `train.step` event carries the report's
+    // `StepStats` under the step index.
+    let rows: Vec<Value> = text
+        .lines()
+        .filter_map(|l| Value::parse(l).ok())
+        .filter(|v| matches!(v.field("event"), Ok(Value::Str(s)) if s == "train.step"))
+        .collect();
+    assert_eq!(rows.len(), 1, "one train.step event per step in:\n{text}");
+    let num = |k: &str| match rows[0].field(k) {
+        Ok(Value::Num(n)) => *n,
+        other => panic!("field {k} must be a number, got {other:?}"),
+    };
+    let st = report.steps[0];
+    assert_eq!(num("step"), 0.0);
+    assert_eq!(num("reward").to_bits(), st.reward.to_bits());
+    assert_eq!(num("mean_log_return").to_bits(), st.mean_log_return.to_bits());
+    assert_eq!(num("variance").to_bits(), st.variance.to_bits());
+    assert_eq!(num("mean_turnover").to_bits(), st.mean_turnover.to_bits());
+    assert_eq!(num("grad_norm").to_bits(), st.grad_norm.to_bits());
     let spans: Vec<Value> = text
         .lines()
         .filter_map(|l| Value::parse(l).ok())

@@ -33,7 +33,7 @@ impl<'a> OnlineNetPolicy<'a> {
     ///
     /// Accepts `&Dataset` for the classic borrowed flow or `Arc<Dataset>`
     /// for an owned `OnlineNetPolicy<'static>` that can move across thread
-    /// boundaries (the `ppn-stream` updater owns its policy this way).
+    /// boundaries.
     pub fn new(
         dataset: impl Into<DatasetHandle<'a>>,
         variant: Variant,
@@ -44,19 +44,6 @@ impl<'a> OnlineNetPolicy<'a> {
         let mut trainer = Trainer::new(dataset, variant, reward, pretrain);
         trainer.train();
         OnlineNetPolicy { trainer, steps_per_period, last_seen: 0 }
-    }
-
-    /// Wraps an already-built (and typically pre-trained) trainer. Use with
-    /// [`Trainer::with_net`] when a custom `NetConfig` is needed — the
-    /// streaming updater uses small windows for sub-millisecond steps.
-    pub fn from_trainer(trainer: Trainer<'a>, steps_per_period: usize) -> Self {
-        OnlineNetPolicy { trainer, steps_per_period, last_seen: 0 }
-    }
-
-    /// Access the underlying trainer (e.g. to extract the network after a
-    /// backtest).
-    pub fn trainer(&self) -> &Trainer<'a> {
-        &self.trainer
     }
 }
 

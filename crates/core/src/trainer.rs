@@ -37,67 +37,12 @@ pub struct StepStats {
 /// Aggregate training summary.
 #[derive(Debug, Clone)]
 pub struct TrainReport {
-    /// Reward trace, one entry per step.
-    pub rewards: Vec<f64>,
-    /// Full telemetry trace, one [`StepStats`] per step.
+    /// Full telemetry trace, one [`StepStats`] per step. `train` also emits
+    /// each row as a `train.step` event to the JSONL sink.
     pub steps: Vec<StepStats>,
     /// Mean reward over the final 10% of steps; `f64::NAN` when the run had
     /// zero steps (no reward is defined over an empty trace).
     pub final_reward: f64,
-}
-
-impl TrainReport {
-    /// Serializes the full step trace as JSON Lines — one
-    /// `{"step":…,"reward":…,…}` object per line, ready for `jq`.
-    ///
-    /// All rows stream into a single buffer; no per-row allocation.
-    pub fn to_jsonl(&self) -> String {
-        use serde::{Ser, Serialize};
-        #[derive(serde::Serialize)]
-        struct Row {
-            step: u64,
-            reward: f64,
-            mean_log_return: f64,
-            variance: f64,
-            mean_turnover: f64,
-            grad_norm: f64,
-        }
-        let mut s = Ser::new();
-        for (i, st) in self.steps.iter().enumerate() {
-            Row {
-                step: i as u64,
-                reward: st.reward,
-                mean_log_return: st.mean_log_return,
-                variance: st.variance,
-                mean_turnover: st.mean_turnover,
-                grad_norm: st.grad_norm,
-            }
-            .serialize(&mut s);
-            s.raw("\n");
-        }
-        s.finish()
-    }
-
-    /// Writes [`TrainReport::to_jsonl`] to `path`, creating parent dirs.
-    ///
-    /// # Errors
-    /// Returns [`std::io::ErrorKind::InvalidInput`] when the step trace is
-    /// empty — writing a zero-line JSONL file would silently look like a
-    /// successful export of a run that never happened — and propagates any
-    /// filesystem error.
-    pub fn write_jsonl(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        if self.steps.is_empty() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "refusing to write empty step trace (0 training steps)",
-            ));
-        }
-        let path = path.as_ref();
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        std::fs::write(path, self.to_jsonl())
-    }
 }
 
 /// Trains a [`PolicyNet`] on a dataset's training split.
@@ -309,9 +254,8 @@ impl<'a> Trainer<'a> {
     pub fn train(&mut self) -> TrainReport {
         let total = self.train_cfg.steps;
         if total == 0 {
-            return TrainReport { rewards: Vec::new(), steps: Vec::new(), final_reward: f64::NAN };
+            return TrainReport { steps: Vec::new(), final_reward: f64::NAN };
         }
-        let mut rewards = Vec::with_capacity(total);
         let mut steps = Vec::with_capacity(total);
         // Per-epoch progress cadence: ~10 summaries over the run.
         let epoch = (total / 10).max(1);
@@ -343,18 +287,18 @@ impl<'a> Trainer<'a> {
                     mean_grad_norm = mean(|x| x.grad_norm),
                 );
             }
-            rewards.push(s.reward);
             steps.push(s);
         }
-        let tail = (rewards.len() / 10).max(1);
-        let final_reward = rewards[rewards.len() - tail..].iter().sum::<f64>() / tail as f64;
+        let tail = (steps.len() / 10).max(1);
+        let final_reward =
+            steps[steps.len() - tail..].iter().map(|s| s.reward).sum::<f64>() / tail as f64;
         ppn_obs::event!(
             ppn_obs::Level::Debug,
             "train.finish",
             steps = total,
             final_reward = final_reward,
         );
-        TrainReport { rewards, steps, final_reward }
+        TrainReport { steps, final_reward }
     }
 
     /// Consumes the trainer, returning the trained network.
@@ -399,7 +343,7 @@ mod tests {
         let mut tr =
             Trainer::new(&ds, Variant::PpnLstm, RewardConfig::default(), small_train_cfg(60));
         let report = tr.train();
-        let head: f64 = report.rewards[..10].iter().sum::<f64>() / 10.0;
+        let head: f64 = report.steps[..10].iter().map(|s| s.reward).sum::<f64>() / 10.0;
         assert!(
             report.final_reward > head - 5e-4,
             "reward regressed: head {head} final {}",
@@ -409,64 +353,14 @@ mod tests {
 
     #[test]
     fn zero_step_train_returns_empty_report() {
-        // Regression: `train()` used to underflow on `rewards[len - tail..]`
+        // Regression: `train()` used to underflow on the reward tail slice
         // when configured with zero steps.
         let ds = Dataset::load(Preset::CryptoA);
         let mut tr =
             Trainer::new(&ds, Variant::PpnLstm, RewardConfig::default(), small_train_cfg(0));
         let report = tr.train();
-        assert!(report.rewards.is_empty());
         assert!(report.steps.is_empty());
         assert!(report.final_reward.is_nan(), "empty run must report NaN final reward");
-        assert!(report.to_jsonl().is_empty());
-    }
-
-    #[test]
-    fn write_jsonl_rejects_empty_step_trace() {
-        let report = TrainReport { rewards: Vec::new(), steps: Vec::new(), final_reward: f64::NAN };
-        let dir = std::env::temp_dir().join("ppn_trainer_empty_jsonl_test");
-        let err = report.write_jsonl(dir.join("steps.jsonl")).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
-        assert!(!dir.join("steps.jsonl").exists(), "no file may be created on refusal");
-    }
-
-    #[test]
-    fn to_jsonl_streams_rows_identical_to_per_row_serialization() {
-        let steps = vec![
-            StepStats {
-                reward: 0.25,
-                mean_log_return: 0.5,
-                variance: 0.125,
-                mean_turnover: 0.0625,
-                grad_norm: 2.0,
-            },
-            StepStats {
-                reward: f64::NAN, // non-finite must still round-trip as null
-                mean_log_return: -0.5,
-                variance: 0.0,
-                mean_turnover: 1.0,
-                grad_norm: 0.5,
-            },
-        ];
-        let report = TrainReport { rewards: vec![0.25, f64::NAN], steps, final_reward: 0.25 };
-        let text = report.to_jsonl();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for (i, line) in lines.iter().enumerate() {
-            let v = serde_json::from_str::<serde::Value>(line).unwrap();
-            let step = v.field("step").unwrap();
-            assert_eq!(step, &serde::Value::Num(i as f64));
-            assert!(v.field("grad_norm").is_ok());
-        }
-        assert_eq!(v_num(lines[0], "reward"), 0.25);
-        assert!(lines[1].contains("\"reward\":null"));
-    }
-
-    fn v_num(line: &str, key: &str) -> f64 {
-        match serde_json::from_str::<serde::Value>(line).unwrap().field(key).unwrap() {
-            serde::Value::Num(n) => *n,
-            other => panic!("expected number for {key}, got {other:?}"),
-        }
     }
 
     #[test]

@@ -1,37 +1,22 @@
 //! Live-feed simulation for the streaming online-adaptation pipeline.
 //!
-//! Two pieces:
+//! [`stitched_dataset`] builds one continuous [`Dataset`] from a sequence of
+//! [`MarketConfig`] *regime segments*. Each segment's close paths are
+//! generated independently and then spliced price-continuously (segment
+//! `n+1` is rescaled per asset so its first close equals segment `n`'s last
+//! close), so the price-relative stream is well defined across every seam
+//! and a seam *is* a regime shift — drift, volatility, momentum and
+//! reversion all flip at a known bar index.
 //!
-//! * [`stitched_dataset`] builds one continuous [`Dataset`] from a sequence
-//!   of [`MarketConfig`] *regime segments*. Each segment's close paths are
-//!   generated independently and then spliced price-continuously (segment
-//!   `n+1` is rescaled per asset so its first close equals segment `n`'s
-//!   last close), so the price-relative stream is well defined across every
-//!   seam and a seam *is* a regime shift — drift, volatility, momentum and
-//!   reversion all flip at a known bar index.
-//! * [`LiveFeed`] is a replay cursor over a shared dataset: it reveals bars
-//!   one at a time, which is how the `ppn-stream` updater consumes "new"
-//!   market periods without a real exchange connection. Determinism is
-//!   inherited from the generator — the same segment configs always produce
-//!   the same feed.
+//! The `ppn-stream` updater walks such a dataset's bars from its split
+//! onward, one gradient step per bar, which is how it sees "new" market
+//! periods without a real exchange connection. Determinism is inherited from
+//! the generator — the same segment configs always produce the same bars.
 
 use crate::dataset::{Dataset, Preset};
 use crate::gbm::{generate_paths, ClosePaths, MarketConfig};
 use crate::ohlc::synthesize_ohlc;
 use crate::relatives::price_relatives;
-use std::sync::Arc;
-
-/// One bar revealed by a [`LiveFeed`].
-#[derive(Debug, Clone)]
-pub struct BarEvent {
-    /// Period index of the newly-revealed bar. The decision for period `t`
-    /// may use windows ending at `t` and relatives up to `t − 1`.
-    pub t: usize,
-    /// Price-relative vector realised between `t − 1` and `t`
-    /// (length `m + 1`, cash first) — what a live exchange feed would
-    /// deliver alongside the new bar.
-    pub relative: Vec<f64>,
-}
 
 /// Builds a price-continuous dataset from consecutive regime segments.
 ///
@@ -77,47 +62,6 @@ pub fn stitched_dataset(preset: Preset, segments: &[MarketConfig], split: usize)
     let ohlc = synthesize_ohlc(&paths, segments[0].seed);
     let relatives = price_relatives(&ohlc);
     Dataset { preset, ohlc, relatives, split }
-}
-
-/// A replay cursor that reveals a dataset's bars one at a time, simulating
-/// a live market feed for the streaming updater.
-#[derive(Debug, Clone)]
-pub struct LiveFeed {
-    dataset: Arc<Dataset>,
-    next_t: usize,
-}
-
-impl LiveFeed {
-    /// Creates a feed positioned at `start` (typically `dataset.split`):
-    /// bars before `start` are history the consumer already has.
-    pub fn new(dataset: Arc<Dataset>, start: usize) -> LiveFeed {
-        LiveFeed { dataset, next_t: start.max(1) }
-    }
-
-    /// The dataset this feed replays.
-    pub fn dataset(&self) -> &Arc<Dataset> {
-        &self.dataset
-    }
-
-    /// Period index of the next bar to be revealed.
-    pub fn position(&self) -> usize {
-        self.next_t
-    }
-
-    /// Bars left before the feed is exhausted.
-    pub fn remaining(&self) -> usize {
-        self.dataset.periods().saturating_sub(self.next_t)
-    }
-
-    /// Reveals the next bar, or `None` once the dataset is exhausted.
-    pub fn next_bar(&mut self) -> Option<BarEvent> {
-        if self.next_t >= self.dataset.periods() {
-            return None;
-        }
-        let t = self.next_t;
-        self.next_t += 1;
-        Some(BarEvent { t, relative: self.dataset.relative(t - 1).to_vec() })
-    }
 }
 
 #[cfg(test)]
@@ -168,20 +112,5 @@ mod tests {
         let pre = mean(0, 399);
         let post = mean(400, ds.periods() - 1);
         assert!(pre > post, "regime shift invisible: pre {pre} post {post}");
-    }
-
-    #[test]
-    fn live_feed_replays_bars_in_order() {
-        let ds = Arc::new(stitched_dataset(Preset::CryptoA, &[seg(50, 3, 1e-4, 0.1)], 40));
-        let mut feed = LiveFeed::new(Arc::clone(&ds), ds.split);
-        assert_eq!(feed.remaining(), 10);
-        let mut seen = Vec::new();
-        while let Some(bar) = feed.next_bar() {
-            assert_eq!(bar.relative, ds.relative(bar.t - 1));
-            seen.push(bar.t);
-        }
-        assert_eq!(seen, (40..50).collect::<Vec<_>>());
-        assert!(feed.next_bar().is_none());
-        assert_eq!(feed.remaining(), 0);
     }
 }

@@ -40,7 +40,7 @@ pub mod contracts;
 pub mod cost;
 /// Synthetic dataset presets standing in for the paper's feeds.
 pub mod dataset;
-/// Live-feed simulation: regime-stitched datasets and replay cursors.
+/// Live-feed simulation: regime-stitched datasets.
 pub mod feed;
 /// Geometric-Brownian-motion close-price path generator.
 pub mod gbm;
@@ -59,7 +59,7 @@ pub use backtest::{
 };
 pub use cost::{cost_proportion, max_turnover, prop4_bounds, turnover_l1, CostSolution};
 pub use dataset::{stats, Dataset, DatasetHandle, DatasetStats, Preset};
-pub use feed::{stitched_dataset, BarEvent, LiveFeed};
+pub use feed::stitched_dataset;
 pub use gbm::{generate_paths, ClosePaths, MarketConfig};
 pub use metrics::{compute as compute_metrics, max_drawdown, mean_std, Metrics};
 pub use ohlc::{synthesize_ohlc, Bar, OhlcSeries};

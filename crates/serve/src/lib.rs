@@ -15,7 +15,7 @@
 //!                 │ read/write deadlines, idle reaping                   │
 //!                 │   POST /decide ──▶ bounded RequestQueue ── full? 429 │
 //!                 └──────────────────────────│───────────────────────────┘
-//!                                            │ next_batch(≤max_batch), condvar wake
+//!                                            │ next_batch(≤32), condvar wake
 //!                                            ▼
 //!                                     batcher thread ── act_batch (one forward
 //!                                            │          pass, run on this thread;

@@ -35,8 +35,6 @@ use std::time::{Duration, Instant};
 pub struct ServeConfig {
     /// Bind address; port `0` picks an ephemeral port (see [`Server::addr`]).
     pub addr: String,
-    /// Largest forward-pass batch the batcher will assemble.
-    pub max_batch: usize,
     /// Bounded decision-queue capacity; overflow is shed with `429`
     /// (`PPN_SERVE_QUEUE_CAP`).
     pub queue_cap: usize,
@@ -55,7 +53,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
-            max_batch: 32,
             queue_cap: 1024,
             max_conns: 1024,
             idle_timeout: Duration::from_secs(30),
@@ -86,6 +83,9 @@ impl ServeConfig {
 fn parse_env<T: std::str::FromStr>(raw: Option<String>) -> Option<T> {
     raw.and_then(|s| s.trim().parse().ok())
 }
+
+/// Largest forward-pass batch the batcher will assemble.
+const MAX_BATCH: usize = 32;
 
 /// Batcher stop-flag recheck slice while waiting on the queue condvar.
 const POLL_INTERVAL: Duration = Duration::from_millis(5);
@@ -155,15 +155,14 @@ impl Server {
             let queue = Arc::clone(&queue);
             let stop = Arc::clone(&stop_batcher);
             let waker = Arc::clone(&waker);
-            let max_batch = cfg.max_batch;
             // Natural batching: the batcher forwards whatever is queued the
-            // moment it wakes (up to `max_batch`) and never sleeps to gather
+            // moment it wakes (up to `MAX_BATCH`) and never sleeps to gather
             // company. Requests that arrive during a forward pass queue up
             // and form the next batch, so batches grow with load on their own.
             std::thread::spawn(move || loop {
                 // Condvar-notified: wakes the instant work arrives; the
                 // timeout slice only bounds stop-flag latency.
-                let jobs = queue.next_batch(max_batch, POLL_INTERVAL);
+                let jobs = queue.next_batch(MAX_BATCH, POLL_INTERVAL);
                 if !jobs.is_empty() {
                     process_batch(&registry, jobs);
                     // Outcomes are in their reply slots: poke the event loop

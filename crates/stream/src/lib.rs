@@ -1,20 +1,23 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-//! Streaming online-adaptation pipeline: keep a served policy learning on a
-//! live bar feed, and hot-swap refreshed versions into the model registry
+//! Streaming online-adaptation pipeline: keep a served policy learning as
+//! new bars arrive, and hot-swap refreshed versions into the model registry
 //! once each candidate has passed a divergence gate.
 //!
 //! The paper trains offline and freezes the policy for the test split; the
 //! EIIE framework it builds on supports *online* learning, and `ppn-core`'s
-//! [`OnlineNetPolicy`](ppn_core::online::OnlineNetPolicy) already implements
-//! the per-period gradient steps. This crate closes the remaining gap to a
-//! *serving* deployment: a [`StreamService`] owns one updater thread that
+//! [`Trainer::extend_horizon`](ppn_core::trainer::Trainer::extend_horizon)
+//! lets a trainer keep stepping as bars arrive. This crate closes the
+//! remaining gap to a *serving* deployment: a [`StreamService`] owns one
+//! updater thread that
 //!
-//! 1. replays bars from a [`ppn_market::LiveFeed`] (simulated live data),
-//! 2. decides and adapts through the online policy (zero look-ahead — the
-//!    trainer's sampling horizon always stays strictly below the current
-//!    bar),
+//! 1. walks the dataset's bars from its split onward (simulated live data;
+//!    a [`ppn_market::stitched_dataset`] makes regime shifts),
+//! 2. takes one gradient step per bar (zero look-ahead — the trainer's
+//!    sampling horizon always stays strictly below the current bar), and
+//!    decides nothing itself: clients decide through `/decide` on the
+//!    registry's live version,
 //! 3. every `publish_every` bars snapshots the network and runs it through
 //!    [`promote`]: shadow-compare the candidate against the live version
 //!    over recent bars, and publish it into the shared
@@ -35,12 +38,12 @@
 //! check. A non-finite action on the shadow window counts as divergence
 //! over any threshold, so such a candidate is rejected too.
 //!
-//! The knobs live in [`StreamConfig`]; callers set them in code. The online
-//! policy takes one gradient step per bar.
+//! The knobs live in [`StreamConfig`]; callers set them in code. The updater
+//! takes one gradient step per bar.
 
 /// Shadow comparison between two policy versions over recent bars.
 pub mod divergence;
-/// The updater thread: feed → decide/train → snapshot → promote.
+/// The updater thread: bar → train → snapshot → promote.
 pub mod service;
 
 pub use divergence::{shadow_divergence, DivergenceReport};
@@ -78,7 +81,7 @@ impl Default for StreamConfig {
 /// Stream-side metric registration, one function per metric so call sites
 /// and the Prometheus endpoint agree on names.
 pub mod metrics {
-    /// Bars consumed from the live feed.
+    /// Live bars the updater has trained on.
     pub fn bars() -> ppn_obs::metrics::Counter {
         ppn_obs::counter("stream.bars")
     }

@@ -1,11 +1,12 @@
-//! The streaming updater service: one owned thread that feeds bars through
-//! an online policy and periodically promotes refreshed versions into the
-//! shared model registry.
+//! The streaming updater service: one owned thread that trains on each new
+//! bar and periodically promotes refreshed versions into the shared model
+//! registry. It makes no decisions of its own: clients get theirs from
+//! `/decide` on the registry's live version.
 //!
 //! This is the only ppn-stream module allowed to spawn a thread (the
 //! ppn-check `no-thread` allowlist pins it): exactly one updater thread per
-//! [`StreamService`], owning the feed → decide/train → snapshot → promote
-//! loop end to end. Forward and backward passes inside the loop run on this
+//! [`StreamService`], owning the bar → train → snapshot → promote loop end
+//! to end. Forward and backward passes inside the loop run on this
 //! thread too: the tensor kernels never fan out further.
 //!
 //! Serving is never blocked by the updater: the registry swap is an
@@ -15,23 +16,19 @@
 
 use crate::{metrics, promote, publish_finite, StreamConfig};
 use ppn_core::config::{RewardConfig, TrainConfig};
-use ppn_core::online::OnlineNetPolicy;
 use ppn_core::ppn::PolicyNet;
 use ppn_core::trainer::Trainer;
-use ppn_market::{drifted_weights, Dataset, DecisionContext, LiveFeed, SequentialPolicy};
+use ppn_market::Dataset;
 use ppn_serve::ModelRegistry;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// Gradient steps the online policy takes per arriving bar.
-const STEPS_PER_BAR: usize = 1;
 
 /// Progress counters for one updater run. Snapshot with
 /// [`StreamService::stats`] while live, or take the final report from
 /// [`StreamService::stop`].
 #[derive(Debug, Clone, Default, serde::Serialize)]
 pub struct StreamStats {
-    /// Bars consumed from the live feed.
+    /// Live bars trained on.
     pub bars: u64,
     /// Versions that entered the registry (including the initial one).
     pub publishes: u64,
@@ -45,7 +42,7 @@ pub struct StreamStats {
     pub last_divergence: f64,
     /// Version currently serving (0 until the initial publish lands).
     pub live_version: u64,
-    /// True once the feed is exhausted or a stop was requested.
+    /// True once the last bar is trained on or a stop was requested.
     pub finished: bool,
     /// True when the updater thread died by panic; serving keeps the last
     /// published version and the stream adapts no further.
@@ -70,8 +67,8 @@ impl StreamService {
     /// `net` is the (typically untrained) network to start from;
     /// `pretrain.steps` offline gradient steps run on the training split
     /// before the initial version is published under `name`, after which
-    /// the feed replays bars from `dataset.split` onward — deciding,
-    /// taking one online gradient step per bar, and every
+    /// the updater walks the bars from `dataset.split` onward — taking one
+    /// online gradient step per bar on the history before it, and every
     /// `cfg.publish_every` bars promoting a snapshot through the
     /// divergence gate ([`promote`]).
     ///
@@ -107,7 +104,7 @@ impl StreamService {
         self.stats.lock().clone()
     }
 
-    /// True once the updater thread has exited (feed exhausted or stop
+    /// True once the updater thread has exited (bars exhausted or stop
     /// requested).
     pub fn is_finished(&self) -> bool {
         self.handle.is_finished()
@@ -138,7 +135,7 @@ impl Drop for PanicFlag<'_> {
     }
 }
 
-/// Everything the updater thread owns besides the policy itself.
+/// Everything the updater thread owns besides its trainer.
 struct StreamWorker {
     registry: Arc<ModelRegistry>,
     name: String,
@@ -165,7 +162,7 @@ impl StreamWorker {
                     s.live_version = v1;
                 }
                 ppn_obs::obs_info!(
-                    "stream: '{}' initial version v{v1} published, feeding from bar {}",
+                    "stream: '{}' initial version v{v1} published, training from bar {}",
                     self.name,
                     self.dataset.split
                 );
@@ -173,35 +170,25 @@ impl StreamWorker {
             None => self.stats.lock().rolled_back = 1,
         }
 
-        let mut policy = OnlineNetPolicy::from_trainer(trainer, STEPS_PER_BAR);
-        let mut feed = LiveFeed::new(Arc::clone(&self.dataset), self.dataset.split);
-        let m1 = self.dataset.assets() + 1;
-        let mut prev_action = vec![0.0; m1];
-        prev_action[0] = 1.0;
         let bars_counter = metrics::bars();
         let mut since_publish = 0usize;
 
-        while !self.stop.load(Ordering::Relaxed) {
-            let Some(bar) = feed.next_bar() else { break };
-            // Holdings drift with the realised relative before we re-decide.
-            let drifted = drifted_weights(&prev_action, &bar.relative);
-            let ctx = DecisionContext {
-                t: bar.t,
-                dataset: &self.dataset,
-                history: &self.dataset.relatives[..bar.t],
-                drifted: &drifted,
-                prev_action: &prev_action,
-            };
-            prev_action = policy.decide_one(&ctx);
+        for t in self.dataset.split..self.dataset.periods() {
+            if self.stop.load(Ordering::Relaxed) {
+                break;
+            }
+            // Bars before `t` become trainable, then one gradient step.
+            trainer.extend_horizon(t);
+            trainer.step();
             bars_counter.inc();
             self.stats.lock().bars += 1;
 
             since_publish += 1;
             if since_publish >= self.cfg.publish_every {
                 since_publish = 0;
-                let candidate = policy.trainer().net.snapshot();
+                let candidate = trainer.net.snapshot();
                 let promotion =
-                    promote(&self.registry, &self.name, candidate, &self.dataset, bar.t, &self.cfg);
+                    promote(&self.registry, &self.name, candidate, &self.dataset, t, &self.cfg);
                 let mut s = self.stats.lock();
                 if let Some(report) = &promotion.divergence {
                     s.last_divergence = report.max_l1;
@@ -272,6 +259,54 @@ mod tests {
         assert!(stats.finished);
         assert_eq!(registry.live_version("live"), Some(stats.live_version));
         assert_eq!(stats.live_version, 4);
+    }
+
+    fn param_bits(net: &PolicyNet) -> Vec<u64> {
+        net.store
+            .ids()
+            .flat_map(|id| net.store.value(id).data().iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn published_versions_match_a_plain_trainer_replay_bit_for_bit() {
+        let (ds, net, reward, pretrain) = tiny_world();
+        let registry = Arc::new(ModelRegistry::with_retention(8));
+        let cfg = StreamConfig {
+            publish_every: 20,
+            divergence_threshold: 2.1,
+            ..StreamConfig::default()
+        };
+        let svc = StreamService::start(
+            Arc::clone(&registry),
+            "live",
+            Arc::clone(&ds),
+            net,
+            reward,
+            pretrain.clone(),
+            cfg,
+        );
+        while !svc.is_finished() {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        assert_eq!(svc.stop().publishes, 4);
+
+        // The same pretrain, then one gradient step per live bar.
+        let (_, net, _, _) = tiny_world();
+        let mut trainer = Trainer::with_net(Arc::clone(&ds), net, reward, pretrain);
+        trainer.train();
+        let mut want = vec![param_bits(&trainer.net)];
+        for (i, t) in (ds.split..ds.periods()).enumerate() {
+            trainer.extend_horizon(t);
+            trainer.step();
+            if (i + 1) % 20 == 0 {
+                want.push(param_bits(&trainer.net));
+            }
+        }
+        for (v, want) in (1..).zip(&want) {
+            let pin = registry.resolve_version("live", v).expect("every version retained");
+            assert!(param_bits(pin.net()) == *want, "v{v} differs from the replay");
+        }
     }
 
     #[test]

@@ -33,8 +33,7 @@ fn main() {
 
     // Online policy: 2 extra gradient steps per live period. Built from the
     // shared `Arc` handle — the resulting `OnlineNetPolicy<'static>` owns
-    // its dataset, the same construction the `ppn-stream` updater uses to
-    // move a policy onto its feed thread.
+    // its dataset, so it could move to another thread.
     println!("Running the online-adapting policy (2 steps/period) ...");
     let mut online: OnlineNetPolicy<'static> =
         OnlineNetPolicy::new(Arc::clone(&ds), Variant::PpnLstm, reward, pretrain, 2);

@@ -14,8 +14,8 @@ fn train_and_backtest_round_trip() {
     let ds = Dataset::load(Preset::CryptoA);
     let (mut policy, report) =
         train_policy(&ds, Variant::PpnLstm, RewardConfig::default(), tiny_train(30));
-    assert!(report.rewards.len() == 30);
-    assert!(report.rewards.iter().all(|r| r.is_finite()));
+    assert!(report.steps.len() == 30);
+    assert!(report.steps.iter().all(|s| s.reward.is_finite()));
     let r = run_backtest(&ds, &mut policy, 0.0025, ds.split..ds.split + 60);
     assert_eq!(r.records.len(), 60);
     assert!(r.metrics.apv > 0.0 && r.metrics.apv.is_finite());
